@@ -153,15 +153,17 @@ def classify(alpha: float | None, parabolic_band: float = 1e-6) -> PointType:
 class Chart:
     """One parameter patch of a surface.
 
-    ``evaluate`` maps (u, v) to a point (z, w) of C^2 and must accept
-    numpy arrays elementwise; it must tolerate arguments up to one grid
-    cell outside the nominal rectangle (the scan pads for offsets and
-    finite differences).  ``d_du`` / ``d_dv`` are optional analytic
-    partials with the same calling convention; when absent the scan
-    falls back to central differences with the grid spacing as step
-    (error O(h^2)).  ``owns`` is the chart's region of responsibility:
-    when several charts cover the surface the predicates must partition
-    it, so each complex point is reported exactly once.
+    ``evaluate`` maps (u, v) to a point (z, w) of C^2, elementwise on
+    numpy arrays: the scan always calls it with two float arrays of the
+    same shape (0-d included), never with Python floats.  It must
+    tolerate arguments up to one grid cell outside the nominal rectangle
+    (the scan pads for offsets and finite differences).  ``d_du`` /
+    ``d_dv`` are optional analytic partials with the same calling
+    convention; when absent the scan falls back to central differences
+    with the grid spacing as step (error O(h^2)).  ``owns(u, v)`` gets
+    Python floats and is the chart's region of responsibility: when
+    several charts cover the surface the predicates must partition it,
+    so each complex point is reported exactly once.
     """
 
     evaluate: Callable
@@ -229,6 +231,15 @@ class SurveyReport:
 # surfaces off cell corners and edges
 _GRID_SHIFT = 0.3183098861837907
 _TWO_PI = 2.0 * math.pi
+# largest phase step between neighbouring boundary samples that is trusted
+# without sampling in between
+_SETTLED = math.pi / 2
+# bisections allowed per rectangle before its boundary phase counts as noise
+_BUDGET = 1 << 14
+# rectangles refined together: a detector whose phase will not settle can
+# spend the whole budget on every rectangle at once, and a batch bounds the
+# segments held in memory to about _BATCH * _BUDGET
+_BATCH = 64
 
 
 def _wrap(angles):
@@ -240,51 +251,22 @@ def _as_complex_pair(raw):
     return np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
 
 
-class _ChartScan:
-    """Scalar evaluation helpers bound to one chart."""
-
-    def __init__(self, chart: Chart, hu: float, hv: float):
-        self.chart = chart
-        self.fd_step = min(hu, hv)  # central-difference step = grid spacing
-
-    def point(self, u: float, v: float) -> tuple[complex, complex]:
-        z, w = self.chart.evaluate(u, v)
-        return complex(z), complex(w)
-
-    def partials(self, u: float, v: float):
-        c = self.chart
-        if c.d_du is not None and c.d_dv is not None:
-            zu, wu = c.d_du(u, v)
-            zv, wv = c.d_dv(u, v)
-            return (complex(zu), complex(wu)), (complex(zv), complex(wv))
-        h = self.fd_step
-        zp, wp = self.point(u + h, v)
-        zm, wm = self.point(u - h, v)
-        du = ((zp - zm) / (2 * h), (wp - wm) / (2 * h))
-        zp, wp = self.point(u, v + h)
-        zm, wm = self.point(u, v - h)
-        dv = ((zp - zm) / (2 * h), (wp - wm) / (2 * h))
-        return du, dv
-
-    def delta(self, u: float, v: float) -> complex:
-        (zu, wu), (zv, wv) = self.partials(u, v)
-        return zu * wv - wu * zv
-
-
-def _delta_on(chart: Chart, us, vs, hu: float, hv: float):
-    """delta and the partials on an axis lattice, vectorized."""
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
+def _partials(chart: Chart, u, v, hu: float, hv: float):
+    """(zu, wu, zv, wv) = dF/du, dF/dv at arrays u, v of any shape: the
+    chart's analytic partials, or central differences with steps hu, hv."""
     if chart.d_du is not None and chart.d_dv is not None:
-        zu, wu = _as_complex_pair(chart.d_du(uu, vv))
-        zv, wv = _as_complex_pair(chart.d_dv(uu, vv))
-    else:
-        zp, wp = _as_complex_pair(chart.evaluate(uu + hu, vv))
-        zm, wm = _as_complex_pair(chart.evaluate(uu - hu, vv))
-        zu, wu = (zp - zm) / (2 * hu), (wp - wm) / (2 * hu)
-        zp, wp = _as_complex_pair(chart.evaluate(uu, vv + hv))
-        zm, wm = _as_complex_pair(chart.evaluate(uu, vv - hv))
-        zv, wv = (zp - zm) / (2 * hv), (wp - wm) / (2 * hv)
-    return (zu, wu, zv, wv), zu * wv - wu * zv
+        return (*_as_complex_pair(chart.d_du(u, v)), *_as_complex_pair(chart.d_dv(u, v)))
+    zp, wp = _as_complex_pair(chart.evaluate(u + hu, v))
+    zm, wm = _as_complex_pair(chart.evaluate(u - hu, v))
+    zq, wq = _as_complex_pair(chart.evaluate(u, v + hv))
+    zn, wn = _as_complex_pair(chart.evaluate(u, v - hv))
+    return (zp - zm) / (2 * hu), (wp - wm) / (2 * hu), (zq - zn) / (2 * hv), (wq - wn) / (2 * hv)
+
+
+def _delta(partials):
+    """The detector det_C(dF/du, dF/dv) from the output of ``_partials``."""
+    zu, wu, zv, wv = partials
+    return zu * wv - wu * zv
 
 
 def _grid_delta(chart: Chart, grid: int):
@@ -294,16 +276,21 @@ def _grid_delta(chart: Chart, grid: int):
     hu, hv = (u1 - u0) / grid, (v1 - v0) / grid
     us = u0 + _GRID_SHIFT * hu + hu * np.arange(grid + 1)
     vs = v0 + _GRID_SHIFT * hv + hv * np.arange(grid + 1)
-    partials, delta = _delta_on(chart, us, vs, hu, hv)
-    _, delta_mu = _delta_on(chart, us[:-1] + hu / 2, vs, hu, hv)
-    _, delta_mv = _delta_on(chart, us, vs[:-1] + hv / 2, hu, hv)
+
+    def lattice(lu, lv):
+        return _partials(chart, *np.meshgrid(lu, lv, indexing="ij"), hu, hv)
+
+    partials = lattice(us, vs)
+    delta = _delta(partials)
+    delta_mu = _delta(lattice(us[:-1] + hu / 2, vs))
+    delta_mv = _delta(lattice(us, vs[:-1] + hv / 2))
     if chart.periodic_u:
         delta[-1, :] = delta[0, :]
         delta_mv[-1, :] = delta_mv[0, :]
     if chart.periodic_v:
         delta[:, -1] = delta[:, 0]
         delta_mu[:, -1] = delta_mu[:, 0]
-    return us, vs, partials, delta, delta_mu, delta_mv
+    return us, vs, (hu, hv), partials, delta, delta_mu, delta_mv
 
 
 def _check_immersion(chart_index: int, us, vs, partials) -> None:
@@ -322,119 +309,119 @@ def _check_immersion(chart_index: int, us, vs, partials) -> None:
 
 
 def _candidate_cells(delta, delta_mu, delta_mv, zero_floor):
-    """Cells whose boundary phases wind, plus cells touching a near-zero node.
-
-    The boundary is sampled at the four corners and four edge midpoints,
-    which resolves windings up to +-2 (phase steps stay below pi).
+    """Index pairs (i, j) of the cells that need a closer look: the phases
+    at their four corners and four edge midpoints wind, or take a step
+    above pi/2 that only adaptive sampling can settle, or a corner is a
+    near-zero node.
     """
     ph = np.angle(delta)
     pmu = np.angle(delta_mu)  # (n, n+1): midpoints of u-direction edges
     pmv = np.angle(delta_mv)  # (n+1, n): midpoints of v-direction edges
-    bottom = _wrap(pmu[:, :-1] - ph[:-1, :-1]) + _wrap(ph[1:, :-1] - pmu[:, :-1])
-    right = _wrap(pmv[1:, :] - ph[1:, :-1]) + _wrap(ph[1:, 1:] - pmv[1:, :])
-    top = _wrap(pmu[:, 1:] - ph[1:, 1:]) + _wrap(ph[:-1, 1:] - pmu[:, 1:])
-    left = _wrap(pmv[:-1, :] - ph[:-1, 1:]) + _wrap(ph[:-1, :-1] - pmv[:-1, :])
-    winding = np.rint((bottom + right + top + left) / _TWO_PI).astype(int)
-    cells = {(int(i), int(j)) for i, j in np.argwhere(winding != 0)}
+    loop = (ph[:-1, :-1], pmu[:, :-1], ph[1:, :-1], pmv[1:, :],
+            ph[1:, 1:], pmu[:, 1:], ph[:-1, 1:], pmv[:-1, :], ph[:-1, :-1])
+    total = np.zeros(pmu[:, :-1].shape)
+    flagged = np.zeros(total.shape, dtype=bool)
+    for a, b in zip(loop[:-1], loop[1:]):
+        step = _wrap(b - a)
+        total += step
+        flagged |= np.abs(step) > _SETTLED
+    flagged |= np.rint(total / _TWO_PI) != 0
     small = np.abs(delta) < zero_floor
-    n = delta.shape[0] - 1
-    for i, j in np.argwhere(small):
-        for ci in (int(i) - 1, int(i)):
-            for cj in (int(j) - 1, int(j)):
-                if 0 <= ci < n and 0 <= cj < n:
-                    cells.add((ci, cj))
-    return sorted(cells)
+    flagged |= small[:-1, :-1] | small[1:, :-1] | small[:-1, 1:] | small[1:, 1:]
+    return np.argwhere(flagged)
 
 
-def _boundary_winding(scan: _ChartScan, rect) -> int:
-    """Winding of delta along the rectangle boundary, with adaptive phase
-    sampling (every consecutive step below pi/2).
+def _windings(chart: Chart, rects, h) -> np.ndarray:
+    """Winding of delta along the boundary of each rectangle (rows
+    ua, ub, va, vb), with adaptive phase sampling: starting from the
+    corners, every segment whose phase step exceeds pi/2 is bisected, one
+    array call per round for all rectangles of a batch.
 
     Tiny values still carry a meaningful phase; only an exact zero on the
     boundary is unresolvable.  Noise-corrupted phases fail to settle and
     exhaust the sampling budget instead.
     """
-    ua, ub, va, vb = rect
-    corners = [(ua, va), (ub, va), (ub, vb), (ua, vb), (ua, va)]
 
-    def probe(p):
-        d = scan.delta(*p)
-        if d == 0:
+    def phase(u, v):
+        d = _delta(_partials(chart, u, v, *h))
+        if np.any(d == 0):
+            k = np.argmax(d == 0)
             raise UnresolvedCluster(
-                f"detector vanishes on a refinement boundary near ({p[0]:.6g}, {p[1]:.6g})"
+                f"detector vanishes on a refinement boundary near ({u[k]:.6g}, {v[k]:.6g})"
             )
-        return math.atan2(d.imag, d.real)
+        return np.angle(d)
 
-    total = 0.0
-    budget = 1 << 14
-    for (p, q) in zip(corners[:-1], corners[1:]):
-        segments = [(p, probe(p), q, probe(q))]
-        while segments:
-            a, pa, b, pb = segments.pop()
-            step = _wrap(pb - pa)
-            if abs(step) <= math.pi / 2:
-                total += step
-                continue
-            budget -= 1
-            if budget <= 0:
+    out = np.zeros(len(rects), dtype=int)
+    for first in range(0, len(rects), _BATCH):
+        batch = rects[first:first + _BATCH]
+        cu, cv = batch[:, [0, 1, 1, 0]], batch[:, [2, 2, 3, 3]]  # corners, counterclockwise
+        corners = np.stack([cu, cv, phase(cu.ravel(), cv.ravel()).reshape(cu.shape)], axis=-1)
+        # segments as (u, v, phase) rows of their two ends
+        a, b = corners.reshape(-1, 3), np.roll(corners, -1, axis=1).reshape(-1, 3)
+        owner = np.repeat(np.arange(len(batch)), 4)
+        total = np.zeros(len(batch))
+        spent = np.zeros(len(batch), dtype=int)
+        while len(owner):
+            step = _wrap(b[:, 2] - a[:, 2])
+            settled = np.abs(step) <= _SETTLED
+            total += np.bincount(owner[settled], weights=step[settled], minlength=len(batch))
+            a, b, owner = a[~settled], b[~settled], owner[~settled]
+            spent += np.bincount(owner, minlength=len(batch))
+            if np.any(spent >= _BUDGET):
                 raise UnresolvedCluster("phase along a cell boundary failed to settle")
-            mid = ((a[0] + b[0]) / 2, (a[1] + b[1]) / 2)
-            pm = probe(mid)
-            segments.append((mid, pm, b, pb))
-            segments.append((a, pa, mid, pm))
-    return round(total / _TWO_PI)
+            mid = (a + b) / 2
+            mid[:, 2] = phase(mid[:, 0], mid[:, 1])
+            a, b, owner = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([owner, owner])
+        out[first:first + _BATCH] = np.rint(total / _TWO_PI)
+    return out
 
 
 # asymmetric split keeps subdivision lines off symmetric zero positions
 _SPLIT = 0.511716
 
 
-def _localize(scan: _ChartScan, rect, winding: int, tol: Tolerances):
-    """Quadtree descent separating the zeros inside a winding cell."""
-    out = []
-    stack = [(rect, winding, 0)]
-    while stack:
-        (ua, ub, va, vb), w, depth = stack.pop()
-        if depth >= tol.max_refine:
-            if abs(w) != 1:
-                raise UnresolvedCluster(
-                    f"winding {w} not separated into simple zeros at depth {tol.max_refine} "
-                    f"near ({(ua + ub) / 2:.6g}, {(va + vb) / 2:.6g})"
-                )
-            out.append(((ua + ub) / 2, (va + vb) / 2, w))
-            continue
-        um = ua + _SPLIT * (ub - ua)
-        vm = va + _SPLIT * (vb - va)
-        children = [
-            (ua, um, va, vm),
-            (um, ub, va, vm),
-            (ua, um, vm, vb),
-            (um, ub, vm, vb),
-        ]
-        live = []
-        for child in children:
-            wc = _boundary_winding(scan, child)
-            if wc != 0:
-                live.append((child, wc))
-        if not live:
-            # winding judged zero at the finer look: false positive
-            continue
-        for child, wc in live:
-            stack.append((child, wc, depth + 1))
-    return out
+def _localize(chart: Chart, rects, h, tol: Tolerances) -> list[tuple[float, float, int]]:
+    """Quadtree descent separating the zeros inside the candidate cells
+    (rows ua, ub, va, vb), one level at a time over every live cell.
+    Returns the centre and winding of each separated zero's cell."""
+    windings = _windings(chart, rects, h)
+    depth = 0
+    while True:
+        live = windings != 0  # winding judged zero at the finer look: false positive
+        rects, windings = rects[live], windings[live]
+        if depth >= tol.max_refine or not len(rects):
+            break
+        ua, ub, va, vb = rects.T
+        um, vm = ua + _SPLIT * (ub - ua), va + _SPLIT * (vb - va)
+        rects = np.concatenate([
+            np.column_stack(child)
+            for child in ((ua, um, va, vm), (um, ub, va, vm), (ua, um, vm, vb), (um, ub, vm, vb))
+        ])
+        windings = _windings(chart, rects, h)
+        depth += 1
+    cu, cv = (rects[:, 0] + rects[:, 1]) / 2, (rects[:, 2] + rects[:, 3]) / 2
+    for u, v, w in zip(cu, cv, windings):
+        if abs(w) != 1:
+            raise UnresolvedCluster(
+                f"winding {w} not separated into simple zeros at depth {tol.max_refine} "
+                f"near ({u:.6g}, {v:.6g})"
+            )
+    return list(zip(cu.tolist(), cv.tolist(), windings.tolist()))
 
 
-def _newton_polish(scan: _ChartScan, u: float, v: float, cell: float, stop: float, tol: Tolerances):
+def _newton_polish(chart: Chart, u: float, v: float, h, cell: float, stop: float, tol: Tolerances):
     """Drive delta to zero with damped 2x2 Newton steps; falls back to the
     quadtree location if the iteration wanders."""
     u0, v0 = u, v
-    h = max(cell * 1e-3, 1e-12)
+    step = max(cell * 1e-3, 1e-12)
+    # the point and its four central-difference neighbours
+    probe_u, probe_v = step * np.array([[0, 1, -1, 0, 0], [0, 0, 0, 1, -1]])
     for _ in range(tol.newton_steps):
-        d = scan.delta(u, v)
+        d, up, um, vp, vm = _delta(_partials(chart, u + probe_u, v + probe_v, *h)).tolist()
         if abs(d) <= stop:
             break
-        du_ = (scan.delta(u + h, v) - scan.delta(u - h, v)) / (2 * h)
-        dv_ = (scan.delta(u, v + h) - scan.delta(u, v - h)) / (2 * h)
+        du_ = (up - um) / (2 * step)
+        dv_ = (vp - vm) / (2 * step)
         det = du_.real * dv_.imag - dv_.real * du_.imag
         if det == 0.0:
             break
@@ -451,28 +438,27 @@ def _newton_polish(scan: _ChartScan, u: float, v: float, cell: float, stop: floa
     return u, v
 
 
-def _sign_at(partials) -> int:
+def _sign_at(zu: complex, wu: complex, zv: complex, wv: complex) -> int:
     """Sign of the complex point: +1 when the parametrization orientation
     agrees with the complex orientation of the tangent line."""
-    (zu, wu), (zv, wv) = partials
     lam = zv / zu if abs(zu) >= abs(wu) else wv / wu
     if lam.imag == 0.0:
         raise ImmersionFailure("tangent vectors are real-dependent at a detected point")
     return 1 if lam.imag > 0 else -1
 
 
-def _jet_at(scan: _ChartScan, u: float, v: float, tol: Tolerances) -> Jet2:
+def _jet_at(chart: Chart, u: float, v: float, zu: complex, wu: complex, tol: Tolerances):
     """Least-squares quadratic jet in unitary adapted coordinates, from a
-    5x5 parameter stencil around the point."""
-    (zu, wu), _ = scan.partials(u, v)
+    5x5 parameter stencil around the point, and the point itself (the
+    stencil centre)."""
     norm = math.sqrt(abs(zu) ** 2 + abs(wu) ** 2)
     t0, t1 = zu / norm, wu / norm          # unit tangent direction, complex span
     n0, n1 = -np.conj(t1), np.conj(t0)     # Hermitian-orthogonal unit normal
     h = tol.jet_step / norm
     offsets = np.arange(-2, 3)
     uu, vv = np.meshgrid(u + h * offsets, v + h * offsets, indexing="ij")
-    zz, ww = _as_complex_pair(scan.chart.evaluate(uu, vv))
-    z0, w0 = scan.point(u, v)
+    zz, ww = _as_complex_pair(chart.evaluate(uu, vv))
+    z0, w0 = complex(zz[2, 2]), complex(ww[2, 2])
     qz, qw = (zz - z0).ravel(), (ww - w0).ravel()
     zp = qz * np.conj(t0) + qw * np.conj(t1)   # graph coordinate on the tangent line
     wp = qz * np.conj(n0) + qw * np.conj(n1)   # height over it
@@ -484,7 +470,7 @@ def _jet_at(scan: _ChartScan, u: float, v: float, tol: Tolerances) -> Jet2:
     )
     coeffs, *_ = np.linalg.lstsq(design, wp, rcond=None)
     a, b, c = coeffs[3] / rho**2, coeffs[4] / rho**2, coeffs[5] / rho**2
-    return Jet2(complex(a), complex(b), complex(c))
+    return Jet2(complex(a), complex(b), complex(c)), (z0, w0)
 
 
 def _wrap_into(x: float, lo: float, hi: float, periodic: bool) -> float:
@@ -509,7 +495,7 @@ def find_complex_points(
         raise ValueError("grid must be at least 8")
     reports: list[PointReport] = []
     for chart_index, chart in enumerate(surface.charts):
-        us, vs, partial_grids, delta, delta_mu, delta_mv = _grid_delta(chart, grid)
+        us, vs, h, partial_grids, delta, delta_mu, delta_mv = _grid_delta(chart, grid)
         _check_immersion(chart_index, us, vs, partial_grids)
         scale = float(np.median(np.abs(delta)))
         if scale == 0.0:
@@ -518,16 +504,9 @@ def find_complex_points(
                 "zeros are not isolated"
             )
         zero_floor = tol.zero_rel * scale
-        hu, hv = us[1] - us[0], vs[1] - vs[0]
-        scan = _ChartScan(chart, hu, hv)
-        cell = min(hu, hv)
-        located: list[tuple[float, float, int]] = []
-        for i, j in _candidate_cells(delta, delta_mu, delta_mv, zero_floor):
-            rect = (us[i], us[i + 1], vs[j], vs[j + 1])
-            w0 = _boundary_winding(scan, rect)
-            if w0 == 0:
-                continue
-            located.extend(_localize(scan, rect, w0, tol))
+        cell = min(h)
+        i, j = _candidate_cells(delta, delta_mu, delta_mv, zero_floor).T
+        located = _localize(chart, np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]]), h, tol)
         merged: list[tuple[float, float, int]] = []
         for u, v, w in sorted(located):
             if any(math.hypot(u - mu, v - mv) < 0.75 * cell for mu, mv, _ in merged):
@@ -535,21 +514,22 @@ def find_complex_points(
             merged.append((u, v, w))
         stop = 1e-13 * scale
         for u, v, w in merged:
-            u, v = _newton_polish(scan, u, v, cell, stop, tol)
+            u, v = _newton_polish(chart, u, v, h, cell, stop, tol)
             u = _wrap_into(u, *chart.u_range, chart.periodic_u)
             v = _wrap_into(v, *chart.v_range, chart.periodic_v)
             if chart.owns is not None and not chart.owns(u, v):
                 continue
-            partials = scan.partials(u, v)
-            sign = _sign_at(partials) if surface.orientable else None
-            alpha = bishop_alpha(_jet_at(scan, u, v, tol), tol.zero_rel)
+            zu, wu, zv, wv = (complex(p[0]) for p in _partials(chart, np.array([u]), np.array([v]), *h))
+            sign = _sign_at(zu, wu, zv, wv) if surface.orientable else None
+            jet, position = _jet_at(chart, u, v, zu, wu, tol)
+            alpha = bishop_alpha(jet, tol.zero_rel)
             ptype = classify(alpha, tol.parabolic_band)
             index = w * sign if sign is not None else w
             reports.append(
                 PointReport(
                     chart=chart_index,
                     location=(u, v),
-                    position=scan.point(u, v),
+                    position=position,
                     winding_index=index,
                     sign=sign,
                     alpha=alpha,

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import random
 
@@ -23,6 +24,7 @@ from realsurf.bishop import (
     survey,
     wrinkled_sphere,
 )
+from realsurf.bishop import _GRID_SHIFT
 
 
 def _winding_linear(b, c, samples=4096):
@@ -179,8 +181,12 @@ def test_graph_alpha2_spec_example():
     assert pts[0].alpha == pytest.approx(2.0, abs=1e-6)
 
 
-def test_wrinkled_sphere_counts():
-    rep = survey(wrinkled_sphere(), 256)
+# 0.6 is the default; the other three put a zero within 3e-4 of a grid
+# cell's u-edge at grid 256, where the cell's eight boundary samples see a
+# phase step near pi and round its winding to 0
+@pytest.mark.parametrize("eps", [0.6, 0.761574153176165, 0.6510345631175534, 0.8441278066920379])
+def test_wrinkled_sphere_counts(eps):
+    rep = survey(wrinkled_sphere(eps), 256)
     assert rep.e_count - rep.h_count == 2
     assert rep.e_count >= 2 and rep.h_count == rep.e_count - 2
     assert (rep.e_count, rep.h_count) == (4, 2)
@@ -228,20 +234,49 @@ def test_survey_rejects_parabolic_points():
         survey(fake_closed, 64)
 
 
-def test_finite_difference_fallback_matches_analytic():
-    analytic = round_sphere()
-    fd_charts = tuple(
+def _fd_round_sphere():
+    charts = tuple(
         Chart(c.evaluate, c.u_range, c.v_range, c.periodic_u, c.periodic_v, None, None, c.owns, c.label)
-        for c in analytic.charts
+        for c in round_sphere().charts
     )
-    fd_surface = ParametrizedSurface("round-sphere-fd", fd_charts, True, True, 2, 0)
-    rep = survey(fd_surface, 256)
+    return ParametrizedSurface("round-sphere-fd", charts, True, True, 2, 0)
+
+
+def test_finite_difference_fallback_matches_analytic():
+    rep = survey(_fd_round_sphere(), 256)
     assert len(rep.points) == 2
     assert all(p.ptype is PointType.ELLIPTIC for p in rep.points)
     cell = 2.3 / 256
     for p in rep.points:
         assert math.hypot(*p.location) < 2 * cell
     assert rep.passed
+
+
+@pytest.mark.parametrize("make", [wrinkled_sphere, _fd_round_sphere])
+def test_chart_callables_only_see_arrays(make):
+    """One evaluation path: every evaluate / d_du / d_dv call of a scan gets
+    numpy arrays, and watching the calls does not change the report."""
+    seen = []
+
+    def watched(fn):
+        def call(u, v):
+            seen.append((type(u), type(v)))
+            return fn(u, v)
+
+        return call
+
+    surface = make()
+    charts = tuple(
+        dataclasses.replace(
+            c,
+            **{f: watched(getattr(c, f)) for f in ("evaluate", "d_du", "d_dv") if getattr(c, f) is not None},
+        )
+        for c in surface.charts
+    )
+    rep = survey(dataclasses.replace(surface, charts=charts), 128)
+    assert seen
+    assert all(tu is np.ndarray and tv is np.ndarray for tu, tv in seen)
+    assert rep == survey(make(), 128)
 
 
 def test_immersion_failure_detected():
@@ -270,6 +305,52 @@ def test_unresolved_cluster_on_double_zero():
     chart = Chart(ev, (-0.7, 0.7), (-0.7, 0.7), False, False, d_du, d_dv)
     surface = ParametrizedSurface("cusp", (chart,), True, False, None, None)
     with pytest.raises(UnresolvedCluster):
+        find_complex_points(surface, 64)
+
+
+# node k = 23 of the shifted grid 64 over [-0.8, 0.8]
+_NODE = -0.8 + _GRID_SHIFT * (1.6 / 64) + (1.6 / 64) * 23
+
+
+def _graph_alpha2_at_node():
+    # w = 2 |z|^2 + Re(z^2) around the node: a simple elliptic zero
+    def ev(u, v):
+        x, y = u - _NODE, v - _NODE
+        return u + 1j * v, 3 * x * x + y * y + 0j
+
+    def d_du(u, v):
+        return 1.0 + 0j * u, 6 * (u - _NODE) + 0j
+
+    def d_dv(u, v):
+        return 1j + 0j * u, 2 * (v - _NODE) + 0j
+
+    return ev, d_du, d_dv
+
+
+def _index_zero_at_node():
+    # w = (y^3 + i x^3) / 3 around the node: delta = x^2 + y^2 keeps phase
+    # 0, so only the near-zero-node rule flags the cells around it
+    def ev(u, v):
+        x, y = u - _NODE, v - _NODE
+        return u + 1j * v, (y**3 + 1j * x**3) / 3
+
+    def d_du(u, v):
+        return 1.0 + 0j * u, 1j * (u - _NODE) ** 2
+
+    def d_dv(u, v):
+        return 1j + 0j * u, (v - _NODE) ** 2 + 0j
+
+    return ev, d_du, d_dv
+
+
+@pytest.mark.parametrize("model", [_graph_alpha2_at_node, _index_zero_at_node])
+def test_unresolved_cluster_on_zero_at_grid_node(model):
+    # delta is exactly 0 at the node, so refining a cell that touches it
+    # probes the zero itself
+    ev, d_du, d_dv = model()
+    chart = Chart(ev, (-0.8, 0.8), (-0.8, 0.8), False, False, d_du, d_dv)
+    surface = ParametrizedSurface("node-zero", (chart,), True, False, None, None)
+    with pytest.raises(UnresolvedCluster, match="refinement boundary"):
         find_complex_points(surface, 64)
 
 
