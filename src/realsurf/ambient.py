@@ -16,10 +16,11 @@ f.s = 1, s.s = -n) and c1 dual to (2-n) f.  For n >= 2 the middle
 their section-like generators are the square -2 sphere classes that the
 totally-real sphere constructions ride on.  E(2) is K3.
 
-Two integrity invariants hold for every surface built here and are
-enforced at construction: the form is unimodular, and c1 is
-characteristic (its pairing with any class x is congruent to x.x
-mod 2).
+Four integrity invariants hold for every surface built here and are
+enforced at construction: the form is unimodular; c1 is characteristic
+(its pairing with any class x is congruent to x.x mod 2); c1.c1 =
+2 chi + 3 sigma (Hirzebruch signature theorem); and chi = 2 + rank,
+since b1 = 0 for every catalog surface.
 """
 
 from __future__ import annotations
@@ -34,12 +35,14 @@ from .lattice import (
     HClass,
     Lattice,
     basis_class,
+    characteristic_defect,
     determinant,
     diag,
     direct_sum,
     e8_neg,
     pair,
     pairing,
+    signature,
 )
 
 __all__ = [
@@ -68,6 +71,11 @@ class Check:
         return self.expected == self.actual
 
 
+def _sigma(lat: Lattice) -> int:
+    b_plus, b_minus, _ = signature(lat)
+    return b_plus - b_minus
+
+
 @dataclass(frozen=True)
 class AmbientSurface:
     label: str
@@ -85,12 +93,20 @@ class AmbientSurface:
                 raise ValueError(f"{self.label}: named class {name!r} has the wrong length")
         if abs(determinant(self.lattice)) != 1:
             raise ValueError(f"{self.label}: homology form must be unimodular")
-        g = self.lattice.gram
-        c = self.c1.coeffs
-        for i in range(r):
-            ci = sum(c[j] * g[j][i] for j in range(r) if c[j] != 0)
-            if (ci - g[i][i]) % 2 != 0:
-                raise ValueError(f"{self.label}: c1 is not characteristic at basis vector {i}")
+        i = characteristic_defect(self.lattice, self.c1)
+        if i is not None:
+            raise ValueError(f"{self.label}: c1 is not characteristic at basis vector {i}")
+        if self.euler_char != 2 + r:
+            raise ValueError(
+                f"{self.label}: chi = {self.euler_char}, but b1 = 0 needs chi = 2 + rank = {2 + r}"
+            )
+        c1_sq = self.pair(self.c1, self.c1)
+        sigma = _sigma(self.lattice)
+        if c1_sq != 2 * self.euler_char + 3 * sigma:
+            raise ValueError(
+                f"{self.label}: c1.c1 = {c1_sq}, but the signature theorem needs "
+                f"2 chi + 3 sigma = {2 * self.euler_char + 3 * sigma}"
+            )
 
     @property
     def rank(self) -> int:
@@ -120,19 +136,28 @@ def blow_up(x: AmbientSurface) -> AmbientSurface:
     """Blow up once: add a <-1> summand with exceptional class e_{m+1},
     replace c1 by c1 - e_{m+1}, and raise the Euler characteristic by 1.
     """
+    return _blown_up(x, 1)
+
+
+def _blown_up(x: AmbientSurface, k: int) -> AmbientSurface:
+    """``k`` blow-ups in one pass: one direct sum with k <-1> summands,
+    every named class padded once, and one validated surface.  Equal to
+    ``k`` chained ``blow_up`` calls.
+    """
     m = sum(1 for name in x.named if re.fullmatch(r"e\d+", name))
-    new_name = f"e{m + 1}"
-    lat = direct_sum([x.lattice, diag([-1])])
-    ext = {name: HClass(h.coeffs + (0,)) for name, h in x.named.items()}
-    exceptional = basis_class(lat, lat.rank - 1)
-    ext[new_name] = exceptional
-    c1 = HClass(x.c1.coeffs + (0,)) - exceptional
+    r = x.rank
+    lat = direct_sum([x.lattice, diag([-1] * k)])
+    pad = (0,) * k
+    ext = {name: HClass(h.coeffs + pad) for name, h in x.named.items()}
+    for j in range(k):
+        ext[f"e{m + j + 1}"] = basis_class(lat, r + j)
+    c1 = HClass(x.c1.coeffs + (-1,) * k)
     match = _BLOWN_LABEL.match(x.label)
     if match:
-        label = f"{match['root']}#{int(match['m']) + 1}CP2bar"
+        label = f"{match['root']}#{int(match['m']) + k}CP2bar"
     else:
-        label = f"{x.label}#1CP2bar"
-    return AmbientSurface(label, lat, c1, x.euler_char + 1, ext)
+        label = f"{x.label}#{k}CP2bar"
+    return AmbientSurface(label, lat, c1, x.euler_char + k, ext)
 
 
 @functools.lru_cache(maxsize=None)
@@ -187,16 +212,16 @@ def fiber_sum_check(a: AmbientSurface, b: AmbientSurface) -> ConsistencyReport:
 
     The glued tori have Euler characteristic 0, so chi must be additive;
     removing the two fiber neighborhoods costs two homology classes, so
-    ranks add up to rank(E(j+k)) - 2; and the fiber multiples of c1
-    (2-j and 2-k) combine to 2-(j+k).  This is bookkeeping over the
-    catalog, not a lattice-level gluing.
+    ranks add up to rank(E(j+k)) - 2; and the signature, computed from
+    each lattice, is additive (Novikov additivity).  This is bookkeeping
+    over the catalog, not a lattice-level gluing.
     """
     j, k = _en_index(a), _en_index(b)
     c = e(j + k)
     checks = (
         Check("euler characteristic adds", a.euler_char + b.euler_char, c.euler_char),
         Check("rank adds with two classes from the gluing", a.rank + b.rank + 2, c.rank),
-        Check("fiber multiple of c1 adds", (2 - j) + (2 - k) - 2, 2 - (j + k)),
+        Check("signature adds", _sigma(a.lattice) + _sigma(b.lattice), _sigma(c.lattice)),
     )
     return ConsistencyReport(f"{a.label} #_f {b.label} = {c.label}", checks)
 
@@ -220,6 +245,4 @@ def by_name(name: str, blow_ups: int = 0) -> AmbientSurface:
         surface = e(int(match[1]))
     if blow_ups < 0:
         raise ValueError("blow-up count must be nonnegative")
-    for _ in range(blow_ups):
-        surface = blow_up(surface)
-    return surface
+    return _blown_up(surface, blow_ups) if blow_ups else surface

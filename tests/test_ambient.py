@@ -53,13 +53,14 @@ def test_blow_up_exceptional_class():
 
 
 def test_en_catalog_values():
-    for n in range(1, 7):
+    for n in [*range(1, 7), 60, 160]:
         x = e(n)
         assert x.rank == 12 * n - 2
         assert x.euler_char == 12 * n
         assert abs(determinant(x.lattice)) == 1
         assert signature(x.lattice) == (2 * n - 1, 10 * n - 1, 0)
-        assert signature(x.lattice) == _np_signature(x.lattice)
+        if n <= 6:
+            assert signature(x.lattice) == _np_signature(x.lattice)
         f, s = x.named_class("f"), x.named_class("s")
         assert x.pair(f, f) == 0
         assert x.pair(f, s) == 1
@@ -110,6 +111,21 @@ def test_constructor_rejects_non_characteristic_c1():
         AmbientSurface("bad", lat, HClass((2,)), 3, {"h": basis_class(lat, 0)})
 
 
+def test_constructor_rejects_c1_square_off_the_signature_theorem():
+    # c1 = h is characteristic on <1>, but c1.c1 = 1 while 2 chi + 3 sigma = 9
+    lat = diag([1])
+    h = basis_class(lat, 0)
+    with pytest.raises(ValueError, match="signature theorem"):
+        AmbientSurface("bad", lat, h, 3, {"h": h})
+
+
+def test_constructor_rejects_euler_char_off_the_rank():
+    lat = diag([1])
+    h = basis_class(lat, 0)
+    with pytest.raises(ValueError, match="b1 = 0"):
+        AmbientSurface("bad", lat, 3 * h, 4, {"h": h})
+
+
 def test_constructor_rejects_non_unimodular():
     lat = Lattice(((2, 0), (0, 1)))  # determinant 2, c1=(0,1) is characteristic
     with pytest.raises(ValueError):
@@ -142,6 +158,16 @@ def test_by_name():
     assert by_name("K3", blow_ups=1).label == "K3#1CP2bar"
     assert by_name("e(4)").rank == 46
     assert by_name("cp2", 3).rank == 4
+    for base, k in (("cp2", 9), ("cp2", 37), ("k3", 2), ("e(3)", 5)):
+        chained = by_name(base)
+        for _ in range(k):
+            chained = blow_up(chained)
+        one_pass = by_name(base, k)
+        assert one_pass.lattice == chained.lattice
+        assert one_pass.c1 == chained.c1
+        assert one_pass.named == chained.named
+        assert one_pass.label == chained.label
+        assert one_pass.euler_char == chained.euler_char
     with pytest.raises(ValueError):
         by_name("t4")
     with pytest.raises(ValueError):

@@ -1,4 +1,7 @@
+import copy
+import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +34,28 @@ def _np_det(lat):
     if lat.rank == 0:
         return 1
     return int(round(np.linalg.det(np.array(lat.gram, dtype=float))))
+
+
+def _dense_sum(parts):
+    """The block-diagonal Gram matrix of ``parts``, built entry by entry."""
+    n = sum(p.rank for p in parts)
+    g = [[0] * n for _ in range(n)]
+    offset = 0
+    for p in parts:
+        for i, row in enumerate(p.gram):
+            g[offset + i][offset : offset + p.rank] = row
+        offset += p.rank
+    return tuple(map(tuple, g))
+
+
+def _assert_canonical(total, parts):
+    """``total`` matches the dense sum of ``parts`` and its own re-split."""
+    assert total.gram == _dense_sum(parts)
+    again = Lattice(total.gram)
+    assert again == total
+    assert hash(again) == hash(total)
+    assert signature(again) == signature(total)
+    assert determinant(again) == determinant(total)
 
 
 def _random_block(rng):
@@ -138,6 +163,7 @@ def test_determinant_multiplicative_on_random_sums():
             prod *= determinant(p)
         assert determinant(total) == prod
         assert determinant(total) == _np_det(total)
+        _assert_canonical(total, parts)
 
 
 def test_signature_and_determinant_invariant_under_part_permutation():
@@ -149,6 +175,12 @@ def test_signature_and_determinant_invariant_under_part_permutation():
         a, b = direct_sum(parts), direct_sum(shuffled)
         assert signature(a) == signature(b)
         assert determinant(a) == determinant(b)
+        _assert_canonical(a, parts)
+        _assert_canonical(b, shuffled)
+    # rows 0 and 2 coupled around an unrelated row 1 form one 3x3 block
+    apart = Lattice(((1, 0, 2), (0, -1, 0), (2, 0, 1)))
+    assert signature(apart) == _np_signature(apart) == (1, 2, 0)
+    assert determinant(apart) == _np_det(apart) == 3
 
 
 def test_hclass_arithmetic():
@@ -162,3 +194,25 @@ def test_hclass_arithmetic():
     assert not a.is_zero
     with pytest.raises(ValueError):
         a + HClass((1, 2))
+
+
+def test_large_direct_sum_builds_no_dense_matrix():
+    # the E(160) form, rank 1918: a dense Gram matrix alone would take
+    # tens of megabytes
+    tracemalloc.start()
+    try:
+        lat = direct_sum([e8_neg()] * 160 + [pair(2)] * 318 + [pair(160)])
+        result = (lat.rank, signature(lat), determinant(lat))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == (1918, (319, 1599, 0), -1)
+    assert peak < 1_000_000
+
+
+def test_lattice_pickles_and_copies():
+    lat = direct_sum([e8_neg(), pair(3), diag([1, -1])])
+    for again in (pickle.loads(pickle.dumps(lat)), copy.deepcopy(lat)):
+        assert again == lat
+        assert again.gram == lat.gram
+        assert signature(again) == signature(lat)
