@@ -160,12 +160,8 @@ def _blown_up(x: AmbientSurface, k: int) -> AmbientSurface:
     return AmbientSurface(label, lat, c1, x.euler_char + k, ext)
 
 
-@functools.lru_cache(maxsize=None)
 def e(n: int) -> AmbientSurface:
-    """The elliptic surface E(n), n >= 1.
-
-    Cached: surfaces are immutable, so the same instance is shared.
-    """
+    """The elliptic surface E(n), n >= 1."""
     if n < 1:
         raise ValueError(f"E(n) requires n >= 1, got {n}")
     parts = [e8_neg()] * n + [pair(2)] * (2 * (n - 1)) + [pair(n)]
@@ -226,7 +222,7 @@ def fiber_sum_check(a: AmbientSurface, b: AmbientSurface) -> ConsistencyReport:
     return ConsistencyReport(f"{a.label} #_f {b.label} = {c.label}", checks)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def by_name(name: str, blow_ups: int = 0) -> AmbientSurface:
     """Look up a catalog surface: ``cp2``, ``k3``, or ``e(n)``, with an
     optional number of blow-ups applied on top.

@@ -270,27 +270,19 @@ def _delta(partials):
 
 
 def _grid_delta(chart: Chart, grid: int):
-    """delta on the (grid+1)^2 node lattice plus the two half-offset edge
-    lattices (the cell winding test samples corners and edge midpoints)."""
+    """The partials and delta on the (grid+1)^2 node lattice: the cell
+    test reads each cell's phase at its four corners."""
     (u0, u1), (v0, v1) = chart.u_range, chart.v_range
     hu, hv = (u1 - u0) / grid, (v1 - v0) / grid
     us = u0 + _GRID_SHIFT * hu + hu * np.arange(grid + 1)
     vs = v0 + _GRID_SHIFT * hv + hv * np.arange(grid + 1)
-
-    def lattice(lu, lv):
-        return _partials(chart, *np.meshgrid(lu, lv, indexing="ij"), hu, hv)
-
-    partials = lattice(us, vs)
+    partials = _partials(chart, *np.meshgrid(us, vs, indexing="ij"), hu, hv)
     delta = _delta(partials)
-    delta_mu = _delta(lattice(us[:-1] + hu / 2, vs))
-    delta_mv = _delta(lattice(us, vs[:-1] + hv / 2))
     if chart.periodic_u:
         delta[-1, :] = delta[0, :]
-        delta_mv[-1, :] = delta_mv[0, :]
     if chart.periodic_v:
         delta[:, -1] = delta[:, 0]
-        delta_mu[:, -1] = delta_mu[:, 0]
-    return us, vs, (hu, hv), partials, delta, delta_mu, delta_mv
+    return us, vs, (hu, hv), partials, delta
 
 
 def _check_immersion(chart_index: int, us, vs, partials) -> None:
@@ -308,18 +300,18 @@ def _check_immersion(chart_index: int, us, vs, partials) -> None:
         )
 
 
-def _candidate_cells(delta, delta_mu, delta_mv, zero_floor):
+def _candidate_cells(delta, zero_floor):
     """Index pairs (i, j) of the cells that need a closer look: the phases
-    at their four corners and four edge midpoints wind, or take a step
-    above pi/2 that only adaptive sampling can settle, or a corner is a
-    near-zero node.
+    at their four corners wind, or take a step above pi/2 that only
+    adaptive sampling can settle, or a corner is a near-zero node.
+
+    This is the rule ``_windings`` starts from on the same four corners:
+    a cell left out has four settled steps summing to zero, so refinement
+    would judge it winding 0 at once.
     """
     ph = np.angle(delta)
-    pmu = np.angle(delta_mu)  # (n, n+1): midpoints of u-direction edges
-    pmv = np.angle(delta_mv)  # (n+1, n): midpoints of v-direction edges
-    loop = (ph[:-1, :-1], pmu[:, :-1], ph[1:, :-1], pmv[1:, :],
-            ph[1:, 1:], pmu[:, 1:], ph[:-1, 1:], pmv[:-1, :], ph[:-1, :-1])
-    total = np.zeros(pmu[:, :-1].shape)
+    loop = (ph[:-1, :-1], ph[1:, :-1], ph[1:, 1:], ph[:-1, 1:], ph[:-1, :-1])
+    total = np.zeros(ph[:-1, :-1].shape)
     flagged = np.zeros(total.shape, dtype=bool)
     for a, b in zip(loop[:-1], loop[1:]):
         step = _wrap(b - a)
@@ -495,7 +487,7 @@ def find_complex_points(
         raise ValueError("grid must be at least 8")
     reports: list[PointReport] = []
     for chart_index, chart in enumerate(surface.charts):
-        us, vs, h, partial_grids, delta, delta_mu, delta_mv = _grid_delta(chart, grid)
+        us, vs, h, partial_grids, delta = _grid_delta(chart, grid)
         _check_immersion(chart_index, us, vs, partial_grids)
         scale = float(np.median(np.abs(delta)))
         if scale == 0.0:
@@ -505,15 +497,10 @@ def find_complex_points(
             )
         zero_floor = tol.zero_rel * scale
         cell = min(h)
-        i, j = _candidate_cells(delta, delta_mu, delta_mv, zero_floor).T
+        i, j = _candidate_cells(delta, zero_floor).T
         located = _localize(chart, np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]]), h, tol)
-        merged: list[tuple[float, float, int]] = []
-        for u, v, w in sorted(located):
-            if any(math.hypot(u - mu, v - mv) < 0.75 * cell for mu, mv, _ in merged):
-                continue
-            merged.append((u, v, w))
         stop = 1e-13 * scale
-        for u, v, w in merged:
+        for u, v, w in located:
             u, v = _newton_polish(chart, u, v, h, cell, stop, tol)
             u = _wrap_into(u, *chart.u_range, chart.periodic_u)
             v = _wrap_into(v, *chart.v_range, chart.periodic_v)

@@ -37,8 +37,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, HClass):
         return list(value.coeffs)
-    if isinstance(value, bishop.PointType):
-        return value.value
     if isinstance(value, float):
         if math.isinf(value):
             return "inf"
@@ -113,14 +111,6 @@ def parse_class_expression(surface: ambient_mod.AmbientSurface, expr: str) -> HC
     return total
 
 
-def _format_alpha(alpha):
-    if alpha is None:
-        return None
-    if math.isinf(alpha):
-        return "inf"
-    return alpha
-
-
 # --- subcommands -------------------------------------------------------------
 
 
@@ -186,10 +176,7 @@ def _cmd_certify(args) -> int:
         cert = constructions.stein_disc_bundle(args.genus, args.euler)
     else:  # stein-disc-nonorientable
         cert = constructions.stein_disc_bundle_nonorientable(args.chi, args.euler, args.strategy)
-    if args.format == "json":
-        sys.stdout.write(cert.to_json() + "\n")
-    else:
-        _emit(cert.to_dict(), "text")
+    _emit(cert.to_dict(), args.format)
     return 0
 
 
@@ -233,7 +220,7 @@ def _cmd_bishop_classify(args) -> int:
     ptype = bishop.classify(alpha, args.parabolic_tol)
     payload = {
         "jet": {"a": _jsonable(jet.a), "b": _jsonable(jet.b), "c": _jsonable(jet.c)},
-        "alpha": _format_alpha(alpha),
+        "alpha": _jsonable(alpha),
         "type": ptype.value,
     }
     _emit(payload, args.format)
@@ -245,7 +232,7 @@ def _point_payload(p: bishop.PointReport, fmt: str):
         sign = "" if p.sign is None else f" sign={p.sign:+d}"
         return (
             f"chart={p.chart} u={p.location[0]:.9g} v={p.location[1]:.9g} "
-            f"index={p.winding_index:+d}{sign} alpha={_format_alpha(p.alpha)} "
+            f"index={p.winding_index:+d}{sign} alpha={_jsonable(p.alpha)} "
             f"type={p.ptype.value}"
         )
     return {
@@ -254,7 +241,7 @@ def _point_payload(p: bishop.PointReport, fmt: str):
         "v": p.location[1],
         "index": p.winding_index,
         "sign": p.sign,
-        "alpha": _format_alpha(p.alpha),
+        "alpha": _jsonable(p.alpha),
         "type": p.ptype.value,
     }
 

@@ -24,7 +24,7 @@ from realsurf.bishop import (
     survey,
     wrinkled_sphere,
 )
-from realsurf.bishop import _GRID_SHIFT
+from realsurf.bishop import DEFAULT_TOLERANCES, _GRID_SHIFT, _candidate_cells, _grid_delta, _windings
 
 
 def _winding_linear(b, c, samples=4096):
@@ -352,6 +352,72 @@ def test_unresolved_cluster_on_zero_at_grid_node(model):
     surface = ParametrizedSurface("node-zero", (chart,), True, False, None, None)
     with pytest.raises(UnresolvedCluster, match="refinement boundary"):
         find_complex_points(surface, 64)
+
+
+# a pair of zeros 0.44 cells apart in neighbouring cells of the shifted
+# grid 64 over [-1, 1]: (u_40 -+ 0.22 h, v_20 + 0.5 h / + 0.55 h)
+_H = 2.0 / 64
+_PAIR_A = complex(-1 + (_GRID_SHIFT + 40) * _H - 0.22 * _H, -1 + (_GRID_SHIFT + 20) * _H + 0.5 * _H)
+_PAIR_C = complex(-1 + (_GRID_SHIFT + 40) * _H + 0.22 * _H, -1 + (_GRID_SHIFT + 20) * _H + 0.55 * _H)
+
+
+@pytest.mark.parametrize(
+    "detector, windings",
+    [
+        (lambda z: (z - _PAIR_A) * (z - _PAIR_C), [1, 1]),
+        (lambda z: (z - _PAIR_A) * np.conj(z - _PAIR_C), [-1, 1]),
+    ],
+    ids=["holomorphic", "conjugate"],
+)
+def test_close_zeros_in_neighbouring_cells_are_both_reported(detector, windings):
+    # F_u = (1, 0), F_v = (i, delta): the detector is delta itself
+    def ev(u, v):
+        return u + 1j * v, 0j * u
+
+    def d_du(u, v):
+        return 1.0 + 0j * u, 0j * u
+
+    def d_dv(u, v):
+        return 1j + 0j * u, detector(u + 1j * v)
+
+    chart = Chart(ev, (-1.0, 1.0), (-1.0, 1.0), False, False, d_du, d_dv)
+    surface = ParametrizedSurface("close-pair", (chart,), True, False, None, None)
+    points = find_complex_points(surface, 64)
+    assert len(points) == 2
+    for p, zero in zip(sorted(points, key=lambda p: p.location), (_PAIR_A, _PAIR_C)):
+        assert abs(complex(*p.location) - zero) < 1e-9
+    assert sorted(p.winding_index for p in points) == windings
+
+
+@pytest.mark.parametrize(
+    "surface, grid",
+    [
+        (wrinkled_sphere(0.6), 64),
+        (round_sphere(), 64),
+        (graph_normal_form(2.0), 64),
+        (wrinkled_sphere(0.503), 32),
+        (wrinkled_sphere(0.8441278066920379), 256),
+    ],
+    ids=["wrinkled-0.6", "round", "graph-2", "wrinkled-0.503", "wrinkled-0.844"],
+)
+def test_candidate_cells_contain_every_winding_cell(surface, grid):
+    """The grid pass may only skip a cell whose boundary does not wind."""
+    for chart in surface.charts:
+        us, vs, h, _, delta = _grid_delta(chart, grid)
+        zero_floor = DEFAULT_TOLERANCES.zero_rel * float(np.median(np.abs(delta)))
+        candidates = set(map(tuple, _candidate_cells(delta, zero_floor).tolist()))
+        i, j = np.indices((grid, grid)).reshape(2, -1)
+        windings = _windings(chart, np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]]), h)
+        winding_cells = set(zip(i[windings != 0].tolist(), j[windings != 0].tolist()))
+        assert winding_cells
+        assert winding_cells <= candidates
+
+
+def test_candidate_cells_flag_a_winding_of_settled_steps():
+    # corner phases -3pi/4, -pi/4, pi/4, 3pi/4: four steps of exactly pi/2,
+    # each settled, that wind once
+    delta = np.array([[-1 - 1j, -1 + 1j], [1 - 1j, 1 + 1j]])
+    assert _candidate_cells(delta, 0.0).tolist() == [[0, 0]]
 
 
 def test_scan_is_deterministic():
