@@ -11,17 +11,20 @@ vanishes (the two partials become complex-linearly dependent), so
 detection is zero-finding for delta: winding-number tests on grid
 cells, quadtree refinement, and a Newton polish.
 
-At each zero the surface is rewritten as a graph over its tangent line
-in unitary adapted coordinates and the quadratic jet
+At each zero the detector is linearized in the tangent-line coordinate
+z = <F - F(0), t>, t the unit complex tangent direction:
 
-    w = A z^2 + B z zbar + C zbar^2 + O(|z|^3)
+    delta = p z + q zbar + O(|z|^2)
 
-is fitted by least squares on a 5x5 stencil.  The A term is absorbed by
-the holomorphic substitution w -> w - A z^2, after which
+with p and q read off the central-difference Jacobian of delta that the
+Newton polish already takes.  For the graph w = A z^2 + B z zbar +
+C zbar^2 + O(|z|^3) over the tangent line, delta = -2i (B z + 2 C zbar)
+up to a nonzero factor, so
 
-    alpha = |B| / (2 |C|)    (infinite for C = 0, degenerate for B = C = 0)
+    alpha = |p| / |q| = |B| / (2 |C|)    (infinite for C = 0, degenerate for B = C = 0)
 
-is the holomorphic invariant of the point: alpha > 1 elliptic, < 1
+is the holomorphic invariant of the point (the A term is absorbed by the
+holomorphic substitution w -> w - A z^2): alpha > 1 elliptic, < 1
 hyperbolic, = 1 parabolic.  On the model form
 w = alpha z zbar + (z^2 + zbar^2)/2 this normalization returns alpha
 itself.
@@ -33,12 +36,14 @@ spans.  The reported ``winding_index`` is the winding of delta around
 the zero along a loop oriented by that complex line - equivalently the
 parameter-space winding times the sign - which makes it +1 at elliptic
 and -1 at hyperbolic points regardless of how the surface is oriented,
-and makes the indices sum to e - h.
+and makes the indices sum to e - h.  Each point is checked against that
+rule: a winding that disagrees with |p| > |q| means the located cell
+held more than the one simple zero, and raises ``UnresolvedCluster``.
 
 Scanning is deterministic: results are a pure function of the surface,
-the grid and the tolerances (tiles are processed in a fixed order, and
-the scan grid is shifted by a fixed sub-cell offset so that symmetric
-surfaces do not park zeros on cell boundaries).
+the grid and the tolerances (the scan grid is shifted by a fixed
+sub-cell offset so that symmetric surfaces do not park zeros on cell
+boundaries).
 """
 
 from __future__ import annotations
@@ -109,8 +114,12 @@ class Tolerances:
     zero_rel: float = 1e-9        # relative floor below which a modulus counts as zero
     parabolic_band: float = 1e-6  # |alpha - 1| within the band reports parabolic
     max_refine: int = 12          # quadtree depth per candidate cell
-    jet_step: float = 1e-3        # stencil radius in C^2 for the jet fit
-    newton_steps: int = 30
+
+    def __post_init__(self):
+        for name in ("zero_rel", "parabolic_band", "max_refine"):
+            value = getattr(self, name)
+            if not value >= 0:
+                raise ValueError(f"tolerance {name} must be >= 0, got {value!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -159,9 +168,10 @@ class Chart:
     tolerate arguments up to one grid cell outside the nominal rectangle
     (the scan pads for offsets and finite differences).  ``d_du`` /
     ``d_dv`` are optional analytic partials with the same calling
-    convention; when absent the scan falls back to central differences
-    with the grid spacing as step (error O(h^2)).  ``owns(u, v)`` gets
-    Python floats and is the chart's region of responsibility: when
+    convention; when absent the scan falls back to central differences,
+    with the grid spacing as step on the grid and in refinement (error
+    O(h^2)) and the Newton probe step at a located zero.  ``owns(u, v)``
+    gets Python floats and is the chart's region of responsibility: when
     several charts cover the surface the predicates must partition it,
     so each complex point is reported exactly once.
     """
@@ -401,19 +411,32 @@ def _localize(chart: Chart, rects, h, tol: Tolerances) -> list[tuple[float, floa
     return list(zip(cu.tolist(), cv.tolist(), windings.tolist()))
 
 
-def _newton_polish(chart: Chart, u: float, v: float, h, cell: float, stop: float, tol: Tolerances):
+# Newton iterations per located zero
+_NEWTON_STEPS = 30
+# the point and its four central-difference neighbours, in probe steps
+_PROBE = np.array([[0, 1, -1, 0, 0], [0, 0, 0, 1, -1]])
+# the index an oriented surface's point of each generic type must have
+_INDEX = {PointType.ELLIPTIC: 1, PointType.HYPERBOLIC: -1}
+
+
+def _probe(chart: Chart, u: float, v: float, step: float):
+    """The partials at (u, v) and at its four neighbours a probe step away,
+    in one call (a chart without analytic partials gets central
+    differences of that same step), and from them delta at (u, v) and its
+    partials D_u, D_v."""
+    partials = _partials(chart, u + step * _PROBE[0], v + step * _PROBE[1], step, step)
+    d, up, um, vp, vm = _delta(partials).tolist()
+    return partials, d, (up - um) / (2 * step), (vp - vm) / (2 * step)
+
+
+def _newton_polish(chart: Chart, u: float, v: float, cell: float, step: float, stop: float):
     """Drive delta to zero with damped 2x2 Newton steps; falls back to the
     quadtree location if the iteration wanders."""
     u0, v0 = u, v
-    step = max(cell * 1e-3, 1e-12)
-    # the point and its four central-difference neighbours
-    probe_u, probe_v = step * np.array([[0, 1, -1, 0, 0], [0, 0, 0, 1, -1]])
-    for _ in range(tol.newton_steps):
-        d, up, um, vp, vm = _delta(_partials(chart, u + probe_u, v + probe_v, *h)).tolist()
+    for _ in range(_NEWTON_STEPS):
+        _, d, du_, dv_ = _probe(chart, u, v, step)
         if abs(d) <= stop:
             break
-        du_ = (up - um) / (2 * step)
-        dv_ = (vp - vm) / (2 * step)
         det = du_.real * dv_.imag - dv_.real * du_.imag
         if det == 0.0:
             break
@@ -430,39 +453,24 @@ def _newton_polish(chart: Chart, u: float, v: float, h, cell: float, stop: float
     return u, v
 
 
-def _sign_at(zu: complex, wu: complex, zv: complex, wv: complex) -> int:
-    """Sign of the complex point: +1 when the parametrization orientation
-    agrees with the complex orientation of the tangent line."""
-    lam = zv / zu if abs(zu) >= abs(wu) else wv / wu
-    if lam.imag == 0.0:
+def _sign_and_jet(partials, du: complex, dv: complex) -> tuple[int, Jet2]:
+    """Sign and quadratic jet of a complex point from a ``_probe`` at it.
+
+    In the tangent-line coordinate z = <F - F0, t>, t = F_u / |F_u|, the
+    parameter directions are A = |F_u| and B = <F_v, t>, and the sign is
+    that of Im B.  Solving D_u = p A + q conj(A), D_v = p B + q conj(B)
+    linearizes delta = p z + q zbar, and delta = -2i (b z + 2 c zbar) on
+    the graph w = a z^2 + b z zbar + c zbar^2 gives the jet.
+    """
+    zu, wu, zv, wv = (complex(x[0]) for x in partials)
+    A = math.sqrt(abs(zu) ** 2 + abs(wu) ** 2)
+    B = (zv * zu.conjugate() + wv * wu.conjugate()) / A
+    if B.imag == 0.0:
         raise ImmersionFailure("tangent vectors are real-dependent at a detected point")
-    return 1 if lam.imag > 0 else -1
-
-
-def _jet_at(chart: Chart, u: float, v: float, zu: complex, wu: complex, tol: Tolerances):
-    """Least-squares quadratic jet in unitary adapted coordinates, from a
-    5x5 parameter stencil around the point, and the point itself (the
-    stencil centre)."""
-    norm = math.sqrt(abs(zu) ** 2 + abs(wu) ** 2)
-    t0, t1 = zu / norm, wu / norm          # unit tangent direction, complex span
-    n0, n1 = -np.conj(t1), np.conj(t0)     # Hermitian-orthogonal unit normal
-    h = tol.jet_step / norm
-    offsets = np.arange(-2, 3)
-    uu, vv = np.meshgrid(u + h * offsets, v + h * offsets, indexing="ij")
-    zz, ww = _as_complex_pair(chart.evaluate(uu, vv))
-    z0, w0 = complex(zz[2, 2]), complex(ww[2, 2])
-    qz, qw = (zz - z0).ravel(), (ww - w0).ravel()
-    zp = qz * np.conj(t0) + qw * np.conj(t1)   # graph coordinate on the tangent line
-    wp = qz * np.conj(n0) + qw * np.conj(n1)   # height over it
-    rho = np.max(np.abs(zp))
-    zs = zp / rho
-    design = np.stack(
-        [np.ones_like(zs), zs, np.conj(zs), zs * zs, zs * np.conj(zs), np.conj(zs) ** 2],
-        axis=1,
-    )
-    coeffs, *_ = np.linalg.lstsq(design, wp, rcond=None)
-    a, b, c = coeffs[3] / rho**2, coeffs[4] / rho**2, coeffs[5] / rho**2
-    return Jet2(complex(a), complex(b), complex(c)), (z0, w0)
+    det = A * (B.conjugate() - B)
+    p = (du * B.conjugate() - A * dv) / det
+    q = (A * dv - B * du) / det
+    return (1 if B.imag > 0 else -1), Jet2(0j, 0.5j * p, 0.25j * q)
 
 
 def _wrap_into(x: float, lo: float, hi: float, periodic: bool) -> float:
@@ -500,18 +508,28 @@ def find_complex_points(
         i, j = _candidate_cells(delta, zero_floor).T
         located = _localize(chart, np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]]), h, tol)
         stop = 1e-13 * scale
-        for u, v, w in located:
-            u, v = _newton_polish(chart, u, v, h, cell, stop, tol)
+        step = max(cell * 1e-3, 1e-12)
+        for u, v, winding in located:
+            u, v = _newton_polish(chart, u, v, cell, step, stop)
             u = _wrap_into(u, *chart.u_range, chart.periodic_u)
             v = _wrap_into(v, *chart.v_range, chart.periodic_v)
             if chart.owns is not None and not chart.owns(u, v):
                 continue
-            zu, wu, zv, wv = (complex(p[0]) for p in _partials(chart, np.array([u]), np.array([v]), *h))
-            sign = _sign_at(zu, wu, zv, wv) if surface.orientable else None
-            jet, position = _jet_at(chart, u, v, zu, wu, tol)
+            partials, _, du, dv = _probe(chart, u, v, step)
+            sign, jet = _sign_and_jet(partials, du, dv)
             alpha = bishop_alpha(jet, tol.zero_rel)
             ptype = classify(alpha, tol.parabolic_band)
-            index = w * sign if sign is not None else w
+            if not surface.orientable:
+                sign, index = None, winding
+            else:
+                index = winding * sign
+                if ptype in _INDEX and index != _INDEX[ptype]:
+                    raise UnresolvedCluster(
+                        f"{ptype.value} point with index {index:+d} at chart {chart_index} "
+                        f"parameter ({u:.6g}, {v:.6g}); its cell holds more than one zero"
+                    )
+            z, w = _as_complex_pair(chart.evaluate(np.array([u]), np.array([v])))
+            position = (complex(z[0]), complex(w[0]))
             reports.append(
                 PointReport(
                     chart=chart_index,
@@ -674,7 +692,7 @@ def graph_normal_form(alpha: float) -> ParametrizedSurface:
     (w = z zbar for alpha = inf): one complex point at the origin with
     invariant alpha.  Not closed; survey does not apply."""
     a = float(alpha)
-    if a < 0:
+    if not a >= 0:
         raise ValueError("the model surface needs alpha >= 0")
 
     def ev(u, v):

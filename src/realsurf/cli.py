@@ -216,8 +216,9 @@ def _parse_complex(text: str) -> complex:
 
 def _cmd_bishop_classify(args) -> int:
     jet = bishop.Jet2(_parse_complex(args.a), _parse_complex(args.b), _parse_complex(args.c))
-    alpha = bishop.bishop_alpha(jet, args.tol)
-    ptype = bishop.classify(alpha, args.parabolic_tol)
+    tol = bishop.Tolerances(zero_rel=args.tol, parabolic_band=args.parabolic_tol)
+    alpha = bishop.bishop_alpha(jet, tol.zero_rel)
+    ptype = bishop.classify(alpha, tol.parabolic_band)
     payload = {
         "jet": {"a": _jsonable(jet.a), "b": _jsonable(jet.b), "c": _jsonable(jet.c)},
         "alpha": _jsonable(alpha),

@@ -13,6 +13,7 @@ from realsurf.bishop import (
     Jet2,
     ParametrizedSurface,
     PointType,
+    Tolerances,
     UnresolvedCluster,
     bishop_alpha,
     builtin_surface,
@@ -118,6 +119,23 @@ def test_builtin_lookup():
         builtin_surface("moebius")
     with pytest.raises(ValueError):
         builtin_surface("graph-normal-form:-1")
+    with pytest.raises(ValueError):
+        builtin_surface("graph-normal-form:nan")
+
+
+@pytest.mark.parametrize("field", ["zero_rel", "parabolic_band", "max_refine"])
+@pytest.mark.parametrize("value", [-1, math.nan])
+def test_tolerances_reject_negative_and_nan(field, value):
+    with pytest.raises(ValueError, match=field):
+        Tolerances(**{field: value})
+
+
+def test_tolerances_hold_the_three_cli_settings():
+    assert [f.name for f in dataclasses.fields(Tolerances)] == ["zero_rel", "parabolic_band", "max_refine"]
+    Tolerances(zero_rel=0.0, parabolic_band=0.0, max_refine=0)  # zero is allowed
+    for gone in ("jet_step", "newton_steps"):
+        with pytest.raises(TypeError):
+            Tolerances(**{gone: 1})
 
 
 def test_flat_torus_scan_is_empty():
@@ -174,6 +192,13 @@ def test_graph_normal_form_infinite_alpha():
     assert pts[0].winding_index == 1
 
 
+@pytest.mark.parametrize("grid", [64, 256, 512])
+@pytest.mark.parametrize("a0", [0.0, 0.3, 0.5, 2.0, 3.7, 10.0, 157.0])
+def test_graph_normal_form_alpha_to_rounding(a0, grid):
+    (p,) = find_complex_points(graph_normal_form(a0), grid)
+    assert p.alpha == pytest.approx(a0, rel=1e-12, abs=0.0)
+
+
 def test_graph_alpha2_spec_example():
     pts = find_complex_points(graph_normal_form(2.0), 256)
     assert len(pts) == 1
@@ -208,6 +233,32 @@ def test_wrinkled_sphere_alpha_stable_under_grid_doubling():
         assert q.alpha == pytest.approx(p.alpha, abs=1e-4)
 
 
+@pytest.mark.parametrize("grid", [64, 256])
+@pytest.mark.parametrize("eps", [0.1, 0.3, 0.6, 0.9])
+def test_wrinkled_sphere_pole_alpha(eps, grid):
+    # t = 1 - z zbar / 2 + (eps / 2)(z^2 + zbar^2) + O(|z|^3) at the poles,
+    # so alpha = 1 / (2 eps) exactly
+    poles = [p for p in find_complex_points(wrinkled_sphere(eps), grid) if math.hypot(*p.location) < 1e-6]
+    assert len(poles) == 2
+    for p in poles:
+        assert p.alpha == pytest.approx(1 / (2 * eps), rel=1e-8)
+
+
+@pytest.mark.parametrize("grid", [64, 256])
+def test_survey_rejects_parabolic_poles_of_wrinkled_sphere(grid):
+    with pytest.raises(GenericityFailure, match="parabolic"):
+        survey(wrinkled_sphere(0.5), grid)
+
+
+@pytest.mark.parametrize("eps", [0.6, 0.8623789908402258])
+def test_wrinkled_sphere_equator_alphas_agree(eps):
+    # the four non-pole points are images of each other under the
+    # symmetries z -> -z and z -> zbar of the surface
+    alphas = [p.alpha for p in find_complex_points(wrinkled_sphere(eps), 64) if math.hypot(*p.location) > 1e-6]
+    assert len(alphas) == 4
+    assert max(alphas) - min(alphas) <= 1e-8 * max(alphas)
+
+
 def test_survey_requires_closed_surface():
     with pytest.raises(ValueError):
         survey(graph_normal_form(2.0), 64)
@@ -234,12 +285,14 @@ def test_survey_rejects_parabolic_points():
         survey(fake_closed, 64)
 
 
+def _fd_copy(surface):
+    """The surface with the analytic partials of its charts dropped."""
+    charts = tuple(dataclasses.replace(c, d_du=None, d_dv=None) for c in surface.charts)
+    return dataclasses.replace(surface, label=surface.label + "-fd", charts=charts)
+
+
 def _fd_round_sphere():
-    charts = tuple(
-        Chart(c.evaluate, c.u_range, c.v_range, c.periodic_u, c.periodic_v, None, None, c.owns, c.label)
-        for c in round_sphere().charts
-    )
-    return ParametrizedSurface("round-sphere-fd", charts, True, True, 2, 0)
+    return _fd_copy(round_sphere())
 
 
 def test_finite_difference_fallback_matches_analytic():
@@ -250,6 +303,11 @@ def test_finite_difference_fallback_matches_analytic():
     for p in rep.points:
         assert math.hypot(*p.location) < 2 * cell
     assert rep.passed
+    fd = find_complex_points(_fd_copy(wrinkled_sphere(0.6)), 256)
+    exact = find_complex_points(wrinkled_sphere(0.6), 256)
+    assert [(p.chart, p.winding_index, p.ptype) for p in fd] == [(p.chart, p.winding_index, p.ptype) for p in exact]
+    for p, q in zip(fd, exact):
+        assert p.alpha == pytest.approx(q.alpha, abs=1e-6)
 
 
 @pytest.mark.parametrize("make", [wrinkled_sphere, _fd_round_sphere])
@@ -306,6 +364,36 @@ def test_unresolved_cluster_on_double_zero():
     surface = ParametrizedSurface("cusp", (chart,), True, False, None, None)
     with pytest.raises(UnresolvedCluster):
         find_complex_points(surface, 64)
+
+
+def test_unresolved_cluster_on_index_off_the_type():
+    # w = (i/4)(z - a)(z - b) conj(z - c)^2 has delta = (z - a)(z - b) conj(z - c):
+    # three zeros within 3e-4 of each other in one depth-4 cell of grid 64
+    # (c is 1e-5 off the centre of the cell holding 0.1234 + 0.2345i), which
+    # winds +1 while Newton lands on c, where p = 0 (hyperbolic)
+    c = 0.1227084047626965 + 0.23390681493260476j + 1e-5
+    a, b = c + 3e-4, c + 3e-4j
+
+    def w_partials(u, v):
+        z = u + 1j * v
+        return 0.25j * (2 * z - a - b) * np.conj(z - c) ** 2, 0.5j * (z - a) * (z - b) * np.conj(z - c)
+
+    def ev(u, v):
+        z = u + 1j * v
+        return z, 0.25j * (z - a) * (z - b) * np.conj(z - c) ** 2
+
+    def d_du(u, v):
+        wz, wzb = w_partials(u, v)
+        return 1.0 + 0j * u, wz + wzb
+
+    def d_dv(u, v):
+        wz, wzb = w_partials(u, v)
+        return 1j + 0j * u, 1j * (wz - wzb)
+
+    chart = Chart(ev, (-1.0, 1.0), (-1.0, 1.0), False, False, d_du, d_dv)
+    surface = ParametrizedSurface("cluster", (chart,), True, False, None, None)
+    with pytest.raises(UnresolvedCluster, match="chart 0"):
+        find_complex_points(surface, 64, Tolerances(max_refine=4))
 
 
 # node k = 23 of the shifted grid 64 over [-0.8, 0.8]

@@ -195,6 +195,23 @@ def test_bishop_classify_bad_number(capsys):
     assert "complex" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--a", "0", "--b", "1", "--c", "0", "--tol", "-1"],
+        ["classify", "--a", "0", "--b", "1", "--c", "0.5", "--parabolic-tol", "-1"],
+        ["scan", "--surface", "graph-normal-form:inf", "--tol", "-1"],
+        ["scan", "--surface", "graph-normal-form:inf", "--max-refine", "-1"],
+    ],
+    ids=["classify-tol", "classify-parabolic-tol", "scan-tol", "scan-max-refine"],
+)
+def test_bishop_negative_tolerance_exit_1(capsys, argv):
+    code, out, err = _run(capsys, "bishop", *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("realsurf: error:")
+
+
 def test_bishop_scan_torus(capsys):
     code, data, _ = _run_json(
         capsys, "bishop", "scan", "--surface", "flat-torus", "--grid", "64"
