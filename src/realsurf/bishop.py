@@ -131,8 +131,11 @@ def bishop_alpha(jet: Jet2, zero_rel: float = 1e-9) -> float | None:
     The a-coefficient is removed by a holomorphic coordinate change and
     plays no role.  Returns ``math.inf`` when c vanishes (the
     w = z zbar model) and ``None`` for the degenerate jet b = c = 0.
+    Raises ``ValueError`` when b or c is infinite or NaN.
     """
     b, c2 = abs(jet.b), 2.0 * abs(jet.c)
+    if not (math.isfinite(b) and math.isfinite(c2)):
+        raise ValueError(f"jet coefficients b and c must be finite, got b={jet.b!r}, c={jet.c!r}")
     scale = max(b, c2)
     if scale == 0.0:
         return None

@@ -13,13 +13,14 @@ input or a failing verification, 2 a mathematically expected negative
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
 import sys
 
 from . import ambient as ambient_mod
-from . import bishop, constructions, embedded
+from . import constructions, embedded
 from .lattice import HClass, determinant, signature
 
 __all__ = ["main"]
@@ -209,14 +210,38 @@ def _cmd_massey(args) -> int:
 
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.strip().replace("i", "j"))
+        value = complex(text.strip().replace("i", "j"))
     except ValueError:
-        raise ValueError(f"cannot parse complex number {text!r}") from None
+        value = math.nan
+    if not cmath.isfinite(value):  # a jet with an infinite or NaN part has no invariant
+        raise ValueError(f"cannot parse complex number {text!r}")
+    return value
+
+
+# parser dest -> Tolerances field.  The flags default to argparse.SUPPRESS,
+# so only those given are set and Tolerances() holds every default.
+_TOLERANCE_FLAGS = {"tol": "zero_rel", "parabolic_tol": "parabolic_band",
+                    "max_refine": "max_refine"}
+
+
+def _tolerances(args):
+    from . import bishop
+
+    given = {field: getattr(args, dest) for dest, field in _TOLERANCE_FLAGS.items()
+             if hasattr(args, dest)}
+    return bishop.Tolerances(**given)
+
+
+def _error(exc) -> int:
+    print(f"realsurf: error: {exc}", file=sys.stderr)
+    return 1
 
 
 def _cmd_bishop_classify(args) -> int:
+    from . import bishop
+
     jet = bishop.Jet2(_parse_complex(args.a), _parse_complex(args.b), _parse_complex(args.c))
-    tol = bishop.Tolerances(zero_rel=args.tol, parabolic_band=args.parabolic_tol)
+    tol = _tolerances(args)
     alpha = bishop.bishop_alpha(jet, tol.zero_rel)
     ptype = bishop.classify(alpha, tol.parabolic_band)
     payload = {
@@ -228,7 +253,7 @@ def _cmd_bishop_classify(args) -> int:
     return 0
 
 
-def _point_payload(p: bishop.PointReport, fmt: str):
+def _point_payload(p, fmt: str):
     if fmt == "text":
         sign = "" if p.sign is None else f" sign={p.sign:+d}"
         return (
@@ -248,16 +273,25 @@ def _point_payload(p: bishop.PointReport, fmt: str):
 
 
 def _cmd_bishop_scan(args) -> int:
+    from . import bishop
+
     surface = bishop.builtin_surface(args.surface)
-    tol = bishop.Tolerances(
-        zero_rel=args.tol, parabolic_band=args.parabolic_tol, max_refine=args.max_refine
-    )
-    if surface.closed:
-        report = bishop.survey(surface, args.grid, tol)
-        payload = {
-            "surface": surface.label,
-            "grid": args.grid,
-            "points": [_point_payload(p, args.format) for p in report.points],
+    tol = _tolerances(args)
+    try:
+        if surface.closed:
+            report = bishop.survey(surface, args.grid, tol)
+            points = report.points
+        else:
+            report, points = None, bishop.find_complex_points(surface, args.grid, tol)
+    except (bishop.ImmersionFailure, bishop.UnresolvedCluster, bishop.GenericityFailure) as exc:
+        return _error(exc)
+    payload = {
+        "surface": surface.label,
+        "grid": args.grid,
+        "points": [_point_payload(p, args.format) for p in points],
+    }
+    if report is not None:
+        payload.update({
             "counts": {
                 "e_plus": report.e_plus,
                 "e_minus": report.e_minus,
@@ -269,14 +303,7 @@ def _cmd_bishop_scan(args) -> int:
             "i_minus": report.i_minus,
             "checks": _checks_payload(report.checks),
             "passed": report.passed,
-        }
-    else:
-        points = bishop.find_complex_points(surface, args.grid, tol)
-        payload = {
-            "surface": surface.label,
-            "grid": args.grid,
-            "points": [_point_payload(p, args.format) for p in points],
-        }
+        })
     _emit(payload, args.format)
     return 0
 
@@ -357,19 +384,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--a", required=True, help="z^2 coefficient, e.g. '0.3+0.1i'")
     p.add_argument("--b", required=True, help="z zbar coefficient")
     p.add_argument("--c", required=True, help="zbar^2 coefficient")
-    p.add_argument("--tol", type=float, default=bishop.DEFAULT_TOLERANCES.zero_rel)
-    p.add_argument("--parabolic-tol", type=float,
-                   default=bishop.DEFAULT_TOLERANCES.parabolic_band)
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--parabolic-tol", type=float, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_bishop_classify)
     p = bishop_sub.add_parser("scan", parents=[common],
                               help="find and classify complex points of a builtin surface")
+    # bishop.BUILTIN_SURFACES spelled out: building the parser must not
+    # import the scanner (a test pins the two together)
     p.add_argument("--surface", required=True,
-                   help=", ".join(bishop.BUILTIN_SURFACES))
+                   help="flat-torus, round-sphere, wrinkled-sphere, graph-normal-form:<alpha>")
     p.add_argument("--grid", type=int, default=256)
-    p.add_argument("--tol", type=float, default=bishop.DEFAULT_TOLERANCES.zero_rel)
-    p.add_argument("--parabolic-tol", type=float,
-                   default=bishop.DEFAULT_TOLERANCES.parabolic_band)
-    p.add_argument("--max-refine", type=int, default=bishop.DEFAULT_TOLERANCES.max_refine)
+    p.add_argument("--tol", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--parabolic-tol", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--max-refine", type=int, default=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_bishop_scan)
 
     return parser
@@ -384,10 +411,8 @@ def main(argv=None) -> int:
         status = "infeasible" if isinstance(exc, constructions.Infeasible) else "no-recipe"
         _emit({"status": status, "reason": str(exc)}, args.format)
         return 2
-    except (ValueError, OSError, bishop.ImmersionFailure, bishop.UnresolvedCluster,
-            bishop.GenericityFailure) as exc:
-        print(f"realsurf: error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, OSError) as exc:
+        return _error(exc)
 
 
 if __name__ == "__main__":

@@ -60,6 +60,16 @@ def test_alpha_infinite_and_zero_and_degenerate():
     assert classify(None) is PointType.DEGENERATE
 
 
+@pytest.mark.parametrize(
+    "jet",
+    [Jet2(0, math.nan, 1), Jet2(0, complex(math.nan, 1), 0), Jet2(0, 1, math.inf)],
+    ids=["b-nan", "b-nan-real-part", "c-inf"],
+)
+def test_alpha_rejects_non_finite_jet(jet):
+    with pytest.raises(ValueError, match="finite"):
+        bishop_alpha(jet)
+
+
 def test_alpha_worked_example():
     jet = Jet2(0.3 + 0.1j, 1.0, 0.25)
     assert bishop_alpha(jet) == pytest.approx(2.0)

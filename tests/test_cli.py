@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import realsurf
 from realsurf.ambient import e, k3
 from realsurf.cli import main, parse_class_expression
 
@@ -272,3 +277,191 @@ def test_text_format_runs(capsys):
     code, out, _ = _run(capsys, "massey", "-1")
     assert code == 0
     assert "normal_euler_range" in out
+
+
+# --- scanner errors, non-finite jets, tolerance defaults ----------------------------
+
+# at this grid a zero of the detector lies on a refinement boundary: UnresolvedCluster
+SCANNER_ERROR = ["bishop", "scan", "--surface", "graph-normal-form:1", "--grid", "8"]
+SCANNER_ERROR_MESSAGE = "realsurf: error: detector vanishes on a refinement boundary"
+
+
+def test_bishop_scan_scanner_error_exit_1(capsys):
+    code, out, err = _run(capsys, *SCANNER_ERROR)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(SCANNER_ERROR_MESSAGE)
+
+
+@pytest.mark.parametrize(
+    "jet",
+    [["--a", "1", "--b", "nan", "--c", "1"], ["--a", "1", "--b", "nan+1i", "--c", "0"]],
+    ids=["nan", "nan-real-part"],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_bishop_classify_non_finite_exit_1(capsys, jet, fmt):
+    code, out, err = _run(capsys, "bishop", "classify", *jet, "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("realsurf: error: cannot parse complex number")
+
+
+@pytest.mark.parametrize(
+    "argv, defaults",
+    [
+        (["scan", "--surface", "graph-normal-form:0.3", "--grid", "64"],
+         ["--tol", "1e-9", "--parabolic-tol", "1e-6", "--max-refine", "12"]),
+        (["classify", "--a", "0", "--b", "1", "--c", "0.5000001"],
+         ["--tol", "1e-9", "--parabolic-tol", "1e-6"]),
+    ],
+    ids=["scan", "classify"],
+)
+def test_bishop_default_tolerances_equal_the_flags_spelled_out(capsys, argv, defaults):
+    code, implicit, _ = _run(capsys, "bishop", *argv, "--format", "json")
+    assert code == 0
+    code, explicit, _ = _run(capsys, "bishop", *argv, *defaults, "--format", "json")
+    assert code == 0
+    assert explicit == implicit
+
+
+def test_bishop_scan_surface_help_lists_the_builtins(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "200")  # one line per option
+    with pytest.raises(SystemExit) as info:
+        main(["bishop", "scan", "--help"])
+    assert info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    line = next(line for line in lines if line.lstrip().startswith("--surface SURFACE"))
+    assert line.split(None, 2)[2] == ", ".join(realsurf.bishop.BUILTIN_SURFACES)
+
+
+# --- the package resolves the scanner on first use ----------------------------------
+
+SCANNER_NAMES = ["bishop", "Jet2", "ParametrizedSurface", "PointType", "Tolerances",
+                 "bishop_alpha", "builtin_surface", "classify", "find_complex_points", "survey"]
+
+
+def test_package_scanner_names_resolve():
+    from realsurf import Tolerances, bishop, survey
+
+    assert realsurf.bishop is bishop
+    assert survey is bishop.survey and Tolerances is bishop.Tolerances
+    assert realsurf.find_complex_points is bishop.find_complex_points
+    assert set(SCANNER_NAMES) <= set(dir(realsurf))
+    assert "k3" in dir(realsurf)
+    with pytest.raises(AttributeError, match="nope"):
+        realsurf.nope
+
+
+# --- the CLI as a process, the way users run it -------------------------------------
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# runs the CLI as ``python -m realsurf.cli`` does, then reports on stderr
+# whether numpy was imported
+REPORT_NUMPY = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('realsurf.cli', run_name='__main__')\n"
+    "finally:\n"
+    "    print('numpy' in sys.modules, file=sys.stderr)\n"
+)
+
+
+def _python(*args, stdin=""):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *args], input=stdin, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _cli_process(*argv, stdin=""):
+    return _python("-m", "realsurf.cli", *argv, stdin=stdin)
+
+
+def _cli_numpy(*argv, stdin=""):
+    """Exit code, stdout and whether numpy was imported, of one CLI process."""
+    proc = _python("-c", REPORT_NUMPY, *argv, stdin=stdin)
+    last = proc.stderr.splitlines()[-1:]
+    assert last in (["True"], ["False"]), proc.stderr
+    return proc.returncode, proc.stdout, last == ["True"]
+
+
+EXACT_COMMANDS = {
+    "massey": ["massey", "-3"],
+    "invariants": ["invariants", "--ambient", "k3", "--chi", "-2", "--class", "s+2f"],
+    "ambient-info": ["ambient", "info", "e(2)", "--blow-ups", "1"],
+    "certify": ["certify", "stein-disc", "--genus", "3", "--euler", "4"],
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *EXACT_COMMANDS.values(),
+        ["bishop", "classify", "--a", "0.3+0.1i", "--b", "1", "--c", "0.25"],
+        ["bishop", "scan", "--surface", "flat-torus", "--grid", "32"],
+    ],
+    ids=[*EXACT_COMMANDS, "bishop-classify", "bishop-scan"],
+)
+def test_cli_process_each_subcommand(argv):
+    proc = _cli_process(*argv, "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert isinstance(json.loads(proc.stdout), dict)
+
+
+def test_cli_process_certify_piped_into_verify():
+    cert = _cli_process(*EXACT_COMMANDS["certify"], "--format", "json")
+    assert cert.returncode == 0
+    proc = _cli_process("verify", "-", "--format", "json", stdin=cert.stdout)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["passed"] is True
+
+
+def test_import_realsurf_does_not_import_numpy():
+    proc = _python("-c", "import sys, realsurf; print('numpy' in sys.modules)")
+    assert proc.returncode == 0
+    assert proc.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv", EXACT_COMMANDS.values(), ids=list(EXACT_COMMANDS))
+def test_exact_commands_do_not_import_numpy(argv):
+    code, out, numpy_loaded = _cli_numpy(*argv, "--format", "json")
+    assert code == 0
+    assert json.loads(out)
+    assert not numpy_loaded
+
+
+def test_verify_from_stdin_does_not_import_numpy():
+    code, cert, _ = _cli_numpy(*EXACT_COMMANDS["certify"], "--format", "json")
+    assert code == 0
+    code, out, numpy_loaded = _cli_numpy("verify", "-", "--format", "json", stdin=cert)
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+    assert not numpy_loaded
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["certify", "stein-disc", "--genus", "1", "--euler", "1", "--format", "json"], 2),
+        (["massey", "3"], 1),
+    ],
+    ids=["certify-infeasible", "massey-malformed"],
+)
+def test_exact_failures_do_not_import_numpy(argv, expected):
+    code, _, numpy_loaded = _cli_numpy(*argv)
+    assert code == expected
+    assert not numpy_loaded
+
+
+def test_bishop_classify_imports_numpy():
+    code, _, numpy_loaded = _cli_numpy("bishop", "classify", "--a", "0", "--b", "1", "--c", "0")
+    assert code == 0
+    assert numpy_loaded
+
+
+def test_cli_process_scanner_error_exit_1():
+    proc = _cli_process(*SCANNER_ERROR)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(SCANNER_ERROR_MESSAGE)
+    assert len(proc.stderr.splitlines()) == 1
