@@ -173,7 +173,8 @@ class Chart:
     ``d_dv`` are optional analytic partials with the same calling
     convention; when absent the scan falls back to central differences,
     with the grid spacing as step on the grid and in refinement (error
-    O(h^2)) and the Newton probe step at a located zero.  ``owns(u, v)``
+    O(h^2)) and, at a located zero, a fixed probe step of 5e-5 (at most
+    a tenth of a cell), which suits a chart of unit scale.  ``owns(u, v)``
     gets Python floats and is the chart's region of responsibility: when
     several charts cover the surface the predicates must partition it,
     so each complex point is reported exactly once.
@@ -418,6 +419,12 @@ def _localize(chart: Chart, rects, h, tol: Tolerances) -> list[tuple[float, floa
 _NEWTON_STEPS = 30
 # the point and its four central-difference neighbours, in probe steps
 _PROBE = np.array([[0, 1, -1, 0, 0], [0, 0, 0, 1, -1]])
+# probe step of a chart without analytic partials.  D_u, D_v are then central
+# differences of central differences: truncation error grows like h^2 and
+# rounding error like 1e-16 / h^2, which balance near h ~ 1e-4 of a chart of
+# unit scale.  The wrinkled sphere's alpha measured best at 5e-5; a step tied
+# to the cell (1e-3 of it) sat deep in the rounding regime on fine grids.
+_FD_PROBE_STEP = 5e-5
 # the index an oriented surface's point of each generic type must have
 _INDEX = {PointType.ELLIPTIC: 1, PointType.HYPERBOLIC: -1}
 
@@ -511,7 +518,10 @@ def find_complex_points(
         i, j = _candidate_cells(delta, zero_floor).T
         located = _localize(chart, np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]]), h, tol)
         stop = 1e-13 * scale
-        step = max(cell * 1e-3, 1e-12)
+        if chart.d_du is not None and chart.d_dv is not None:
+            step = max(cell * 1e-3, 1e-12)
+        else:
+            step = min(_FD_PROBE_STEP, 0.1 * cell)
         for u, v, winding in located:
             u, v = _newton_polish(chart, u, v, cell, step, stop)
             u = _wrap_into(u, *chart.u_range, chart.periodic_u)

@@ -32,6 +32,8 @@ The four engines:
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 from dataclasses import dataclass
 
@@ -39,7 +41,6 @@ from .ambient import AmbientSurface, Check, by_name
 from .embedded import (
     SurfaceClass,
     connected_sum,
-    i_total,
     invariant_report,
     massey_set,
     resolve_union,
@@ -180,7 +181,7 @@ class Certificate:
 
     def to_dict(self) -> dict:
         return {
-            "ambient": {"base": self.ambient.base, "blow_ups": self.ambient.blow_ups},
+            "ambient": _fields(self.ambient),
             "steps": [_step_to_dict(s) for s in self.steps],
             "claimed": _claims_to_dict(self.claimed),
             "notes": list(self.notes),
@@ -191,16 +192,14 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
-        try:
-            ambient = AmbientRecipe(
-                str(data["ambient"]["base"]), int(data["ambient"].get("blow_ups", 0))
-            )
-            steps = tuple(_step_from_dict(s) for s in data["steps"])
-            claimed = _claims_from_dict(data["claimed"])
-            notes = tuple(str(n) for n in data.get("notes", []))
-        except (KeyError, TypeError) as exc:
-            raise MalformedCertificate(f"certificate is missing fields: {exc}") from None
-        return cls(ambient, steps, claimed, notes)
+        ambient = functools.partial(_read, _read(data, "ambient", dict), where="ambient")
+        steps = _read(data, "steps", list)
+        return cls(
+            AmbientRecipe(ambient("base", str), ambient("blow_ups", int, 0)),
+            tuple(_step_from_dict(s, f"step[{i}]") for i, s in enumerate(steps)),
+            _claims_from_dict(_read(data, "claimed", dict)),
+            _read(data, "notes", [str], ()),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "Certificate":
@@ -208,89 +207,94 @@ class Certificate:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise MalformedCertificate(f"certificate is not valid JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise MalformedCertificate("certificate must be a JSON object")
         return cls.from_dict(data)
 
 
+# --- JSON form ----------------------------------------------------------------
+
+# step kind -> (class, decoder from a reader of the step record's fields)
+_STEP_KINDS = {
+    "embed-in-chart": (EmbedInChart, lambda read: EmbedInChart(
+        read("chi", int), read("normal_euler", int), read("orientable", bool, False))),
+    "use-named-class": (UseNamedClass, lambda read: UseNamedClass(
+        read("name", str), read("chi", int))),
+    "resolve": (Resolve, lambda read: Resolve(read("parts", [int]), read("crossings", int))),
+    "connected-sum": (ConnectedSum, lambda read: ConnectedSum(read("operands", [int]))),
+}
+_KIND_OF = {cls: kind for kind, (cls, _) in _STEP_KINDS.items()}
+
+_JSON_TYPES = {int: "integer", bool: "boolean", str: "string", dict: "object", list: "array"}
+_REQUIRED = object()
+
+
+def _read(data: dict, key: str, kind, default=_REQUIRED, where: str = ""):
+    """``data[key]`` if it has the JSON type ``kind`` exactly: a bool is no
+    integer, and a float or a string no number.  ``[int]`` and ``[str]``
+    read an array of that type as a tuple.  An absent key reads as
+    ``default``, and so does null where the default is None or False.
+    Anything else raises MalformedCertificate naming the field path."""
+    if type(data) is not dict:
+        raise MalformedCertificate(f"{where or 'certificate'} must be a JSON object")
+    value = data.get(key)
+    if type(value) is kind:
+        return value
+    if type(kind) is list and type(value) is list and all(type(x) is kind[0] for x in value):
+        return tuple(value)
+    if value is None and default is not _REQUIRED:
+        if key not in data or default is None or default is False:
+            return default
+    path = f"{where}.{key}" if where else key
+    if key not in data:
+        raise MalformedCertificate(f"certificate is missing the field {path}")
+    name = f"array of {_JSON_TYPES[kind[0]]}s" if type(kind) is list else _JSON_TYPES[kind]
+    raise MalformedCertificate(f"{path} must be a JSON {name}, got {value!r}")
+
+
+def _fields(obj) -> dict:
+    """A dataclass's fields in declaration order, which is the order its
+    ``__init__`` sets them in, with tuples as lists."""
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(obj).items()}
+
+
 def _step_to_dict(step: Step) -> dict:
-    if isinstance(step, EmbedInChart):
-        return {
-            "kind": "embed-in-chart",
-            "chi": step.chi,
-            "normal_euler": step.normal_euler,
-            "orientable": step.orientable,
-        }
-    if isinstance(step, UseNamedClass):
-        return {"kind": "use-named-class", "name": step.name, "chi": step.chi}
-    if isinstance(step, Resolve):
-        return {"kind": "resolve", "parts": list(step.parts), "crossings": step.crossings}
-    if isinstance(step, ConnectedSum):
-        return {"kind": "connected-sum", "operands": list(step.operands)}
-    raise MalformedCertificate(f"unknown step type {type(step).__name__}")
+    if type(step) not in _KIND_OF:
+        raise MalformedCertificate(f"unknown step type {type(step).__name__}")
+    return {"kind": _KIND_OF[type(step)], **_fields(step)}
 
 
-def _step_from_dict(data: dict) -> Step:
-    try:
-        kind = data["kind"]
-        if kind == "embed-in-chart":
-            return EmbedInChart(
-                int(data["chi"]), int(data["normal_euler"]), bool(data.get("orientable", False))
-            )
-        if kind == "use-named-class":
-            return UseNamedClass(str(data["name"]), int(data["chi"]))
-        if kind == "resolve":
-            return Resolve(tuple(int(i) for i in data["parts"]), int(data["crossings"]))
-        if kind == "connected-sum":
-            return ConnectedSum(tuple(int(i) for i in data["operands"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedCertificate(f"bad step record {data!r}: {exc}") from None
-    raise MalformedCertificate(f"unknown step kind {kind!r}")
+def _step_from_dict(data: dict, where: str) -> Step:
+    kind = _read(data, "kind", str, where=where)
+    if kind not in _STEP_KINDS:
+        raise MalformedCertificate(f"{where}: unknown step kind {kind!r}")
+    return _STEP_KINDS[kind][1](functools.partial(_read, data, where=where))
 
 
 def _claims_to_dict(c: Claims) -> dict:
-    disc = None
-    if c.disc_bundle is not None:
-        if c.disc_bundle.orientable:
-            disc = {"kind": "D", "genus": c.disc_bundle.genus, "euler_number": c.disc_bundle.euler_number}
-        else:
-            disc = {"kind": "Dtilde", "chi": c.disc_bundle.chi, "euler_number": c.disc_bundle.euler_number}
-    return {
-        "orientable": c.orientable,
-        "euler_char": c.euler_char,
-        "normal_euler": c.normal_euler,
-        "hclass": None if c.hclass is None else list(c.hclass),
-        "i_total": c.i_total,
-        "i_plus": c.i_plus,
-        "i_minus": c.i_minus,
-        "stein_basis_possible": c.stein_basis_possible,
-        "totally_real_possible": c.totally_real_possible,
-        "disc_bundle": disc,
-    }
+    out, disc = _fields(c), c.disc_bundle
+    if disc is not None and disc.orientable:
+        out["disc_bundle"] = {"kind": "D", "genus": disc.genus, "euler_number": disc.euler_number}
+    elif disc is not None:
+        out["disc_bundle"] = {"kind": "Dtilde", "chi": disc.chi, "euler_number": disc.euler_number}
+    return out
 
 
 def _claims_from_dict(data: dict) -> Claims:
-    disc = None
-    raw = data.get("disc_bundle")
+    read = functools.partial(_read, data, where="claimed")
+    disc = raw = read("disc_bundle", dict, None)
     if raw is not None:
+        number = functools.partial(_read, raw, kind=int, where="claimed.disc_bundle")
         if raw.get("kind") == "D":
-            disc = DiscBundle(True, int(raw["euler_number"]), genus=int(raw["genus"]))
+            disc = DiscBundle(True, number("euler_number"), genus=number("genus"))
         elif raw.get("kind") == "Dtilde":
-            disc = DiscBundle(False, int(raw["euler_number"]), chi=int(raw["chi"]))
+            disc = DiscBundle(False, number("euler_number"), chi=number("chi"))
         else:
             raise MalformedCertificate(f"unknown disc bundle kind in {raw!r}")
-    hclass = data.get("hclass")
+    # positional, in field order
     return Claims(
-        orientable=bool(data["orientable"]),
-        euler_char=int(data["euler_char"]),
-        normal_euler=int(data["normal_euler"]),
-        hclass=None if hclass is None else tuple(int(x) for x in hclass),
-        i_total=int(data["i_total"]),
-        i_plus=None if data.get("i_plus") is None else int(data["i_plus"]),
-        i_minus=None if data.get("i_minus") is None else int(data["i_minus"]),
-        stein_basis_possible=data.get("stein_basis_possible"),
-        totally_real_possible=data.get("totally_real_possible"),
-        disc_bundle=disc,
+        read("orientable", bool), read("euler_char", int), read("normal_euler", int),
+        read("hclass", [int], None), read("i_total", int), read("i_plus", int, None),
+        read("i_minus", int, None), read("stein_basis_possible", bool, None),
+        read("totally_real_possible", bool, None), disc,
     )
 
 
@@ -320,18 +324,15 @@ def _replay(ambient: AmbientSurface, steps: tuple[Step, ...]):
         try:
             if isinstance(step, EmbedInChart):
                 if step.orientable:
-                    checks.append(
-                        Check(f"{tag}: orientable chart surface has zero normal euler number",
-                              0, step.normal_euler)
-                    )
-                    surface = SurfaceClass(ambient, True, step.chi, None, step.normal_euler)
+                    check = Check(f"{tag}: orientable chart surface has zero normal euler number",
+                                  0, step.normal_euler)
                 else:
-                    checks.append(
-                        Check(f"{tag}: chart normal euler number is realizable",
-                              True, step.normal_euler in massey_set(step.chi))
-                    )
-                    surface = SurfaceClass(ambient, False, step.chi, None, step.normal_euler)
-                registry.append(surface)
+                    check = Check(f"{tag}: chart normal euler number is realizable",
+                                  True, step.normal_euler in massey_set(step.chi))
+                checks.append(check)
+                registry.append(
+                    SurfaceClass(ambient, step.orientable, step.chi, None, step.normal_euler)
+                )
             elif isinstance(step, UseNamedClass):
                 if step.name not in ambient.named:
                     raise MalformedCertificate(
@@ -351,10 +352,7 @@ def _replay(ambient: AmbientSurface, steps: tuple[Step, ...]):
                 if len(step.operands) < 2:
                     raise MalformedCertificate(f"{tag}: connected sum needs two or more operands")
                 operands = _take(registry, step.operands, tag)
-                result = operands[0]
-                for other in operands[1:]:
-                    result = connected_sum(result, other)
-                registry.append(result)
+                registry.append(functools.reduce(connected_sum, operands))
             else:
                 raise MalformedCertificate(f"{tag}: unknown step type {type(step).__name__}")
         except ValueError as exc:
@@ -379,31 +377,26 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
+# the check name of each Claims field but the disc bundle, in field order
+_CLAIM_CHECKS = tuple(zip(dataclasses.fields(Claims), (
+    "claimed orientability", "claimed euler characteristic", "claimed normal euler number",
+    "claimed homology class", "claimed count I", "claimed signed count I+",
+    "claimed signed count I-", "claimed Stein neighborhood basis possibility",
+    "claimed totally real possibility",
+)))
+
+
 def verify_certificate(cert: Certificate) -> VerificationReport:
-    """Rebuild the ambient, replay the steps, and compare every claim."""
-    ambient = cert.ambient.build()
-    final, checks = _replay(ambient, cert.steps)
-    report = invariant_report(final)
-    claimed = cert.claimed
-    checks.append(Check("claimed orientability", claimed.orientable, final.orientable))
-    checks.append(Check("claimed euler characteristic", claimed.euler_char, final.euler_char))
-    checks.append(Check("claimed normal euler number", claimed.normal_euler, final.normal_euler))
-    actual_h = None if final.hclass is None else final.hclass.coeffs
-    checks.append(Check("claimed homology class", claimed.hclass, actual_h))
-    checks.append(Check("claimed count I", claimed.i_total, report.i_total))
-    checks.append(Check("claimed signed count I+", claimed.i_plus, report.i_plus))
-    checks.append(Check("claimed signed count I-", claimed.i_minus, report.i_minus))
-    if claimed.stein_basis_possible is not None:
-        checks.append(
-            Check("claimed Stein neighborhood basis possibility",
-                  claimed.stein_basis_possible, stein_basis_possible(final))
-        )
-    if claimed.totally_real_possible is not None:
-        checks.append(
-            Check("claimed totally real possibility",
-                  claimed.totally_real_possible, totally_real_possible(final))
-        )
-    bundle = claimed.disc_bundle
+    """Rebuild the ambient, replay the steps, and compare every claim with
+    the claims the replayed surface supports.  The two predicates, the
+    fields that default to None, are compared only when claimed."""
+    final, checks = _replay(cert.ambient.build(), cert.steps)
+    actual = _claims_for(final)
+    for field, name in _CLAIM_CHECKS:
+        claimed = getattr(cert.claimed, field.name)
+        if claimed is not None or field.default is not None:
+            checks.append(Check(name, claimed, getattr(actual, field.name)))
+    bundle = cert.claimed.disc_bundle
     if bundle is not None:
         checks.append(Check("disc bundle base orientability", bundle.orientable, final.orientable))
         if bundle.orientable:
@@ -423,25 +416,31 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 # --- engines ------------------------------------------------------------------
 
 
-def _claims_for(final: SurfaceClass, **extra) -> Claims:
+def _claims_for(final: SurfaceClass, disc_bundle: DiscBundle | None = None) -> Claims:
+    """Every claim the replayed surface supports; the predicates are None
+    where I+- is undefined (an oriented surface without a class)."""
     report = invariant_report(final)
+    defined = not final.orientable or report.i_plus is not None
     return Claims(
-        orientable=final.orientable,
-        euler_char=final.euler_char,
-        normal_euler=final.normal_euler,
-        hclass=None if final.hclass is None else final.hclass.coeffs,
-        i_total=report.i_total,
-        i_plus=report.i_plus,
-        i_minus=report.i_minus,
-        stein_basis_possible=stein_basis_possible(final),
-        totally_real_possible=totally_real_possible(final),
-        **extra,
+        final.orientable, final.euler_char, final.normal_euler,
+        None if final.hclass is None else final.hclass.coeffs,
+        report.i_total, report.i_plus, report.i_minus,
+        stein_basis_possible(final) if defined else None,
+        totally_real_possible(final) if defined else None,
+        disc_bundle,
     )
 
 
-def _finish(recipe: AmbientRecipe, steps: list[Step], notes: tuple[str, ...] = (), **extra) -> Certificate:
+def _finish(recipe: AmbientRecipe, steps: list[Step], notes: tuple[str, ...] = (),
+            disc_bundle: DiscBundle | None = None) -> Certificate:
     final, _ = _replay(recipe.build(), tuple(steps))
-    return Certificate(recipe, tuple(steps), _claims_for(final, **extra), notes)
+    return Certificate(recipe, tuple(steps), _claims_for(final, disc_bundle), notes)
+
+
+def _section_plus_fibers(g: int) -> list[Step]:
+    """A section-class sphere resolved with g fiber tori: genus g, class s + g f."""
+    fibers = [UseNamedClass("f", 0)] * g
+    return [UseNamedClass("s", 2), *fibers, Resolve(tuple(range(g + 1)), g)]
 
 
 def totally_real_oriented_in_k3(g: int) -> Certificate:
@@ -450,35 +449,26 @@ def totally_real_oriented_in_k3(g: int) -> Certificate:
     """
     if g < 0:
         raise ValueError("genus must be nonnegative")
-    steps: list[Step] = [UseNamedClass("s", 2)]
-    steps += [UseNamedClass("f", 0) for _ in range(g)]
-    steps.append(Resolve(tuple(range(g + 1)), g))
-    cert = _finish(AmbientRecipe("K3"), steps)
+    cert = _finish(AmbientRecipe("K3"), _section_plus_fibers(g))
     assert cert.claimed.i_plus == 0 and cert.claimed.i_minus == 0
     return cert
 
 
-# chart count I for each chi mod 4 residue, per ambient kind; None marks
-# residues the plain K3 recipe cannot reach without a blow-up.
+def _chart_sum(chi: int, nu: int, spheres: list[str]) -> list[Step]:
+    """A chart surface tubed to the catalog spheres of the given names."""
+    steps: list[Step] = [EmbedInChart(chi, nu), *(UseNamedClass(name, 2) for name in spheres)]
+    return steps + [ConnectedSum(tuple(range(len(steps))))] if spheres else steps
+
+
+# per ambient kind, its recipe and, for each chi mod 4 residue, the chart
+# count I and the spheres that bring it to 0; None marks residues the plain
+# K3 recipe cannot reach without a blow-up.
 _NONOR_DISPATCH = {
-    "k3": {0: (0, []), 2: (2, [("s", 2)]), 1: None, 3: None},
-    "k3-blow-up": {0: (0, []), 2: (2, [("s", 2)]), 3: (1, [("e1", 2)]), 1: (3, [("e1", 2), ("s", 2)])},
-    "e3": {0: (0, []), 2: (2, [("s1", 2)]), 3: (5, [("s1", 2), ("s", 2)]), 1: (3, [("s", 2)])},
-}
-
-_NONOR_RECIPES = {
-    "k3": AmbientRecipe("K3"),
-    "k3-blow-up": AmbientRecipe("K3", 1),
-    "e3": AmbientRecipe("E(3)"),
-}
-
-_NONOR_ALIASES = {
-    "k3": "k3",
-    "k3blowup": "k3-blow-up",
-    "k3-blow-up": "k3-blow-up",
-    "k3_blow_up": "k3-blow-up",
-    "e3": "e3",
-    "e(3)": "e3",
+    "k3": (AmbientRecipe("K3"), {0: (0, []), 2: (2, ["s"]), 1: None, 3: None}),
+    "k3-blow-up": (AmbientRecipe("K3", 1), {0: (0, []), 2: (2, ["s"]), 3: (1, ["e1"]),
+                                             1: (3, ["e1", "s"])}),
+    "e3": (AmbientRecipe("E(3)"), {0: (0, []), 2: (2, ["s1"]), 3: (5, ["s1", "s"]),
+                                   1: (3, ["s"])}),
 }
 
 
@@ -488,29 +478,24 @@ def totally_real_nonorientable(chi: int, ambient_kind: str = "k3-blow-up") -> Ce
     The chart embedding takes the count value the case analysis fixes
     for chi mod 4, and connected sums with catalog spheres bring it to
     zero.  Plain K3 handles chi = 0, 2 (mod 4) only; the blow-up and
-    E(3) handle every chi.
+    E(3) handle every chi.  ``ambient_kind`` is ``k3``, ``k3-blow-up`` or
+    ``e3``, spelled exactly so.
     """
     if chi > 1:
         raise ValueError(f"nonorientable surfaces have chi <= 1, got {chi}")
-    kind = _NONOR_ALIASES.get(ambient_kind.strip().lower().replace(" ", ""))
-    if kind is None:
-        raise ValueError(
-            f"unknown ambient kind {ambient_kind!r}; expected K3, K3-blow-up or E3"
-        )
-    entry = _NONOR_DISPATCH[kind][chi % 4]
+    if ambient_kind not in _NONOR_DISPATCH:
+        raise ValueError(f"unknown ambient kind {ambient_kind!r}; expected k3, k3-blow-up or e3")
+    recipe, dispatch = _NONOR_DISPATCH[ambient_kind]
+    entry = dispatch[chi % 4]
     if entry is None:
         raise NoRecipe(
             f"chi = {chi} is {chi % 4} mod 4: the K3 chart values cannot reach count 0 "
             "without an exceptional sphere; use the K3-blow-up or E(3) recipe"
         )
-    chart_count, summands = entry
+    chart_count, spheres = entry
     nu = chart_count - chi
     assert nu in massey_set(chi), "chart dispatch left the realizable range"
-    steps: list[Step] = [EmbedInChart(chi, nu)]
-    steps += [UseNamedClass(name, c) for name, c in summands]
-    if summands:
-        steps.append(ConnectedSum(tuple(range(len(summands) + 1))))
-    cert = _finish(_NONOR_RECIPES[kind], steps)
+    cert = _finish(recipe, _chart_sum(chi, nu, spheres))
     assert cert.claimed.i_total == 0
     return cert
 
@@ -535,15 +520,8 @@ def stein_disc_bundle(g: int, n: int) -> Certificate:
             f"(= {2 * g - 2})"
         )
     m = 2 * g - n
-    steps: list[Step] = [UseNamedClass("s", 2)]
-    steps += [UseNamedClass("f", 0) for _ in range(g)]
-    steps.append(Resolve(tuple(range(g + 1)), g))
-    cert = _finish(
-        AmbientRecipe(f"E({m})"),
-        steps,
-        notes=(_STEIN_NOTE,),
-        disc_bundle=DiscBundle(True, n, genus=g),
-    )
+    cert = _finish(AmbientRecipe(f"E({m})"), _section_plus_fibers(g), (_STEIN_NOTE,),
+                   DiscBundle(True, n, genus=g))
     assert cert.claimed.i_plus == 2 - m and cert.claimed.i_minus == 0
     assert cert.claimed.normal_euler == n
     return cert
@@ -569,7 +547,8 @@ def stein_disc_bundle_nonorientable(chi: int, n: int, strategy: str = "blow-up-c
     Strategies: ``blow-up-cp2`` sums the chart surface with m exceptional
     spheres in the m-fold blow-up of CP^2; ``section-of-em`` takes one
     connected sum with a section of E(m).  Both land on normal Euler
-    number n with I = chi + n, and m is minimized.
+    number n with I = chi + n, and m is minimized.  No other spelling of
+    the strategy is accepted.
     """
     if chi > 1:
         raise ValueError(f"nonorientable surfaces have chi <= 1, got {chi}")
@@ -578,23 +557,15 @@ def stein_disc_bundle_nonorientable(chi: int, n: int, strategy: str = "blow-up-c
             f"the disc bundle over a chi = {chi} nonorientable base with euler number {n} "
             "has no Stein structure: n + chi must be <= 0"
         )
-    key = strategy.strip().lower().replace("_", "-")
-    if key in ("blow-up-cp2", "blowupcp2"):
+    if strategy == "blow-up-cp2":
         m = _minimal_shift(chi, n, lower=0)
-        steps: list[Step] = [EmbedInChart(chi, n + m)]
-        steps += [UseNamedClass(f"e{i}", 2) for i in range(1, m + 1)]
-        if m:
-            steps.append(ConnectedSum(tuple(range(m + 1))))
-        recipe = AmbientRecipe("CP2", m)
-    elif key in ("section-of-em", "sectionofem"):
+        recipe, spheres = AmbientRecipe("CP2", m), [f"e{i}" for i in range(1, m + 1)]
+    elif strategy == "section-of-em":
         m = _minimal_shift(chi, n, lower=1)
-        steps = [EmbedInChart(chi, n + m), UseNamedClass("s", 2), ConnectedSum((0, 1))]
-        recipe = AmbientRecipe(f"E({m})")
+        recipe, spheres = AmbientRecipe(f"E({m})"), ["s"]
     else:
-        raise ValueError(
-            f"unknown strategy {strategy!r}; expected blow-up-cp2 or section-of-em"
-        )
-    cert = _finish(recipe, steps, disc_bundle=DiscBundle(False, n, chi=chi))
+        raise ValueError(f"unknown strategy {strategy!r}; expected blow-up-cp2 or section-of-em")
+    cert = _finish(recipe, _chart_sum(chi, n + m, spheres), (), DiscBundle(False, n, chi=chi))
     assert cert.claimed.normal_euler == n
     assert cert.claimed.i_total == chi + n
     return cert

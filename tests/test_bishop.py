@@ -318,6 +318,13 @@ def test_finite_difference_fallback_matches_analytic():
     assert [(p.chart, p.winding_index, p.ptype) for p in fd] == [(p.chart, p.winding_index, p.ptype) for p in exact]
     for p, q in zip(fd, exact):
         assert p.alpha == pytest.approx(q.alpha, abs=1e-6)
+    # a fine grid: the probe step of a chart without partials is not tied
+    # to the cell, whose 1e-3 put alpha 1.5e-5 off here
+    fd = find_complex_points(_fd_copy(wrinkled_sphere(0.9)), 512)
+    exact = find_complex_points(wrinkled_sphere(0.9), 512)
+    assert [(p.chart, p.winding_index, p.ptype) for p in fd] == [(p.chart, p.winding_index, p.ptype) for p in exact]
+    for p, q in zip(fd, exact):
+        assert p.alpha == pytest.approx(q.alpha, rel=5e-7)
 
 
 @pytest.mark.parametrize("make", [wrinkled_sphere, _fd_round_sphere])

@@ -153,6 +153,43 @@ def test_verify_garbage_exit_1(tmp_path, capsys):
     assert "not valid JSON" in err
 
 
+# the exact bytes ``certify`` prints, committed under tests/data
+PINNED_CERTIFICATES = {
+    "stein-disc-genus-2-euler-2": ["stein-disc", "--genus", "2", "--euler", "2"],
+    "stein-disc-nonorientable-chi--1-euler--3-section-of-em": [
+        "stein-disc-nonorientable", "--chi", "-1", "--euler", "-3", "--strategy", "section-of-em",
+    ],
+}
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt")])
+@pytest.mark.parametrize("name", PINNED_CERTIFICATES)
+def test_certify_output_is_pinned(capsys, name, fmt, ext):
+    code, out, err = _run(capsys, "certify", *PINNED_CERTIFICATES[name], "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"certify-{name}.{ext}").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"ambient": {"base": "K3"}, "steps": [], "claimed": "x"}',
+        '{"ambient": {"base": "K3"}, "steps": [], "claimed": {"disc_bundle": "x"}}',
+    ],
+    ids=["claimed", "disc-bundle"],
+)
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_verify_non_object_claims_exit_1(monkeypatch, capsys, text, fmt):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = _run(capsys, "verify", "-", "--format", fmt)
+    assert (code, out) == (1, "")
+    assert err.startswith("realsurf: error: ") and "must be a JSON object" in err
+    assert len(err.splitlines()) == 1
+
+
 def test_certify_output_deterministic(capsys):
     _, out1, _ = _run(capsys, "certify", "stein-disc-nonorientable",
                       "--chi", "-2", "--euler", "-1", "--format", "json")

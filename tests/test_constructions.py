@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -114,6 +115,10 @@ def test_nonorientable_rejects_bad_inputs():
         totally_real_nonorientable(2, "k3")
     with pytest.raises(ValueError):
         totally_real_nonorientable(0, "cp17")
+    # only the documented names; these spellings were once folded into them
+    for kind in ("K3", "k3blowup", "k3_blow_up", "K3-blow-up", "e(3)", "E(3)", "E3", " k3"):
+        with pytest.raises(ValueError, match="unknown ambient kind"):
+            totally_real_nonorientable(0, kind)
 
 
 # --- Stein disc bundles over oriented bases -----------------------------------
@@ -192,6 +197,9 @@ def test_stein_nonorientable_both_strategies_agree():
 def test_stein_nonorientable_rejects_unknown_strategy():
     with pytest.raises(ValueError):
         stein_disc_bundle_nonorientable(0, 0, "magic")
+    for strategy in ("blowupcp2", "sectionofem", "blow_up_cp2", "Section-Of-Em", " blow-up-cp2"):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            stein_disc_bundle_nonorientable(0, 0, strategy)
 
 
 # --- verifier ------------------------------------------------------------------
@@ -276,6 +284,18 @@ def test_wrong_named_class_chi_is_a_failed_check():
     assert any("catalog euler characteristic" in c.name for c in report.failures())
 
 
+def test_predicate_claim_without_signed_counts_is_a_failed_check():
+    # an oriented chart surface has no class, so I+- and the predicates are undefined
+    claimed = Claims(True, -2, 0, None, -2, None, None, stein_basis_possible=True)
+    cert = Certificate(AmbientRecipe("K3"), (EmbedInChart(-2, 0, True),), claimed)
+    report = verify_certificate(cert)
+    assert [(c.name, c.expected, c.actual) for c in report.failures()] == [
+        ("claimed Stein neighborhood basis possibility", True, None)
+    ]
+    unclaimed = dataclasses.replace(claimed, stein_basis_possible=None)
+    assert verify_certificate(dataclasses.replace(cert, claimed=unclaimed)).passed
+
+
 def test_chart_normal_euler_outside_massey_fails():
     steps = (EmbedInChart(0, 2),)  # massey_set(0) = {-4, 0, 4}
     claimed = Claims(False, 0, 2, None, 2, None, None)
@@ -297,6 +317,32 @@ def test_certificate_serialization_round_trip():
         assert verify_certificate(clone).passed
 
 
+def _set(data, path, value):
+    """data with the field at path (keys and list indices) set to value."""
+    *outer, last = path
+    target = data
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    return data
+
+
+# fields of totally_real_oriented_in_k3(2) given a value of the wrong JSON
+# type, and the path the error names.  The decoder once read each of these
+# by coercion: "yes" as true, 0.9 as 0, "2" as 2, 1 as true, "abc" as the
+# notes ("a", "b", "c"), true as 1 crossing.
+WRONG_TYPES = [
+    (("claimed", "orientable"), "yes", "claimed.orientable"),
+    (("claimed", "hclass", 0), 0.9, "claimed.hclass"),
+    (("steps", 0, "chi"), "2", r"step\[0\].chi"),
+    (("claimed", "totally_real_possible"), 1, "claimed.totally_real_possible"),
+    (("ambient", "blow_ups"), 0.7, "ambient.blow_ups"),
+    (("notes",), "abc", "notes"),
+    (("steps", 3, "crossings"), True, r"step\[3\].crossings"),
+    (("claimed", "euler_char"), "abc", "claimed.euler_char"),
+]
+
+
 def test_from_json_rejects_garbage():
     with pytest.raises(MalformedCertificate):
         Certificate.from_json("{not json")
@@ -304,3 +350,75 @@ def test_from_json_rejects_garbage():
         Certificate.from_json('{"ambient": {"base": "K3"}}')
     with pytest.raises(MalformedCertificate):
         Certificate.from_json('[1, 2]')
+    for path, value, named in WRONG_TYPES:
+        text = json.dumps(_set(totally_real_oriented_in_k3(2).to_dict(), path, value))
+        with pytest.raises(MalformedCertificate, match=named):
+            Certificate.from_json(text)
+
+
+def test_from_json_reads_absent_and_null_optional_fields():
+    cert = stein_disc_bundle_nonorientable(-1, -3, "section-of-em")
+    data = cert.to_dict()
+    del data["ambient"]["blow_ups"], data["notes"], data["steps"][0]["orientable"]
+    assert Certificate.from_dict(data) == cert
+    for path in (("steps", 0, "orientable"), ("claimed", "i_plus"), ("claimed", "i_minus")):
+        assert Certificate.from_dict(_set(cert.to_dict(), path, None)) == cert
+    claims = dataclasses.replace(cert.claimed, hclass=None, stein_basis_possible=None,
+                                 totally_real_possible=None, disc_bundle=None)
+    data = cert.to_dict()
+    for key in ("hclass", "stein_basis_possible", "totally_real_possible", "disc_bundle"):
+        data["claimed"][key] = None
+    assert Certificate.from_dict(data).claimed == claims
+    for key in ("i_plus", "i_minus", "hclass", "stein_basis_possible", "totally_real_possible",
+                "disc_bundle"):
+        del data["claimed"][key]
+    assert Certificate.from_dict(data).claimed == claims
+    for path in (("ambient", "blow_ups"), ("notes",), ("claimed", "euler_char")):
+        with pytest.raises(MalformedCertificate):
+            Certificate.from_dict(_set(cert.to_dict(), path, None))
+
+
+ENGINE_CERTIFICATES = {
+    "totally-real-oriented": lambda: totally_real_oriented_in_k3(2),
+    "totally-real": lambda: totally_real_nonorientable(-1, "e3"),
+    "stein-disc": lambda: stein_disc_bundle(2, 0),
+    "stein-disc-nonorientable": lambda: stein_disc_bundle_nonorientable(-1, -3, "blow-up-cp2"),
+}
+
+
+def _wrong_values(value):
+    """JSON values of the wrong type for a field that holds value (no field is a float)."""
+    if isinstance(value, bool):
+        return [1.5, 1, "true"]
+    if isinstance(value, int):
+        return [1.5, True, str(value), [value]]
+    if isinstance(value, str):
+        return [1.5, 1, True, [value]]
+    return [1.5, "1", False]  # null: an optional integer, boolean, array or object
+
+
+@pytest.mark.parametrize("engine", ENGINE_CERTIFICATES)
+def test_every_wrong_typed_field_is_malformed(engine):
+    data = ENGINE_CERTIFICATES[engine]().to_dict()
+    records = [("ambient",), *(("steps", i) for i in range(len(data["steps"]))), ("claimed",)]
+    if data["claimed"]["disc_bundle"] is not None:
+        records.append(("claimed", "disc_bundle"))
+    paths = []
+    for record in records:
+        fields = data
+        for key in record:
+            fields = fields[key]
+        for key, value in fields.items():
+            if isinstance(value, list):
+                paths += [(*record, key, i) for i in range(len(value))]
+            elif not isinstance(value, dict):
+                paths.append((*record, key))
+    assert len(paths) > 20
+    for path in paths:
+        value = data
+        for key in path:
+            value = value[key]
+        for wrong in _wrong_values(value):
+            mutant = _set(json.loads(json.dumps(data)), path, wrong)
+            with pytest.raises(MalformedCertificate):
+                Certificate.from_dict(mutant)
