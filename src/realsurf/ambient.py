@@ -147,11 +147,11 @@ def _blown_up(x: AmbientSurface, k: int) -> AmbientSurface:
     m = sum(1 for name in x.named if re.fullmatch(r"e\d+", name))
     r = x.rank
     lat = direct_sum([x.lattice, diag([-1] * k)])
-    pad = (0,) * k
-    ext = {name: HClass(h.coeffs + pad) for name, h in x.named.items()}
+    # padding a class with zeros only raises its rank: O(1) per class
+    ext = {name: HClass._sparse(r + k, h.terms) for name, h in x.named.items()}
     for j in range(k):
         ext[f"e{m + j + 1}"] = basis_class(lat, r + j)
-    c1 = HClass(x.c1.coeffs + (-1,) * k)
+    c1 = HClass._sparse(r + k, x.c1.terms + tuple((r + j, -1) for j in range(k)))
     match = _BLOWN_LABEL.match(x.label)
     if match:
         label = f"{match['root']}#{int(match['m']) + k}CP2bar"
@@ -229,6 +229,8 @@ def by_name(name: str, blow_ups: int = 0) -> AmbientSurface:
 
     Cached: repeated lookups share one immutable instance.
     """
+    if blow_ups < 0:
+        raise ValueError("blow-up count must be nonnegative")
     key = name.strip().lower()
     if key == "cp2":
         surface = cp2()
@@ -239,6 +241,4 @@ def by_name(name: str, blow_ups: int = 0) -> AmbientSurface:
         if not match:
             raise ValueError(f"unknown ambient surface {name!r} (expected cp2, k3 or e(n))")
         surface = e(int(match[1]))
-    if blow_ups < 0:
-        raise ValueError("blow-up count must be nonnegative")
     return _blown_up(surface, blow_ups) if blow_ups else surface

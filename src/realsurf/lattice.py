@@ -5,11 +5,17 @@ by a ``Lattice``: Z^rank with an integer Gram matrix.  Every catalog form
 is a direct sum of a few standard blocks (the negative definite E8 form,
 the rank-2 pairs [[0,1],[1,-k]], and diagonal +-1 summands), so a
 ``Lattice`` keeps its contiguous diagonal blocks and never a dense
-rank x rank matrix: ``direct_sum`` concatenates block lists, ``pairing``
-reads only the block rows where its first argument is nonzero, and
+rank x rank matrix: ``direct_sum`` concatenates block lists, and
 signature and determinant are a sum and a product of per-block results
 that are memoized on the block's Gram tuple, so -E8 is diagonalized once
 per process however many copies a lattice holds.
+
+An ``HClass`` is held sparsely, as its rank and its nonzero
+``(index, coeff)`` pairs in index order; the dense ``coeffs`` tuple is
+built only when read.  Sums, multiples and basis classes cost O(support),
+and ``pairing`` walks the terms of the sparser class, finding the other's
+terms inside each row's block by bisection: O(|x| log |y| + overlap),
+independent of the rank.
 
 No floating point is used anywhere: a block's signature comes from
 congruence diagonalization over the rationals, its determinant from
@@ -20,7 +26,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import operator
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress, repeat
 from operator import mul
@@ -131,41 +138,124 @@ class Lattice:
         return self._gram
 
 
-@dataclass(frozen=True)
 class HClass:
-    """A homology class: an integer coefficient vector in a lattice basis."""
+    """A homology class: an integer coefficient vector in a lattice basis.
 
-    coeffs: tuple[int, ...]
+    Held sparsely, as its rank and the tuple ``terms`` of its nonzero
+    ``(index, coeff)`` pairs in increasing index order, so a basis class
+    or a sum of a few named classes costs O(support) however large the
+    rank.  ``HClass(coeffs)`` takes the dense vector; each entry must be
+    an integer (a Python or numpy integer, not a bool), else ``TypeError``
+    names its position.  ``coeffs`` is the dense tuple, built on each
+    read.  Equality and hashing compare ``(rank, terms)`` and so agree
+    with equality of dense vectors.
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(map(int, self.coeffs)))
+    Immutable after construction, like ``Lattice``.
+    """
+
+    __slots__ = ("_rank", "_terms")
+
+    def __init__(self, coeffs: Iterable[int]) -> None:
+        dense = tuple(coeffs)
+        self._set(len(dense), tuple((i, v) for i, c in enumerate(dense) if (v := _integer(c, i))))
+
+    @classmethod
+    def _sparse(cls, rank: int, terms: tuple[tuple[int, int], ...]) -> "HClass":
+        """A class from terms that are already nonzero, integral and in
+        increasing index order below ``rank``."""
+        h = object.__new__(cls)
+        h._set(rank, terms)
+        return h
+
+    def _set(self, rank: int, terms: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "_rank", rank)
+        object.__setattr__(self, "_terms", terms)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("HClass is immutable")
+
+    def __reduce__(self):
+        # pickle and copy would otherwise restore the slots through __setattr__
+        return (HClass._sparse, (self._rank, self._terms))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HClass):
+            return NotImplemented
+        return self._rank == other._rank and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self._rank, self._terms))
+
+    def __repr__(self) -> str:
+        return f"HClass(coeffs={self.coeffs!r})"
+
+    @property
+    def terms(self) -> tuple[tuple[int, int], ...]:
+        return self._terms
+
+    @property
+    def coeffs(self) -> tuple[int, ...]:
+        dense = [0] * self._rank
+        for i, c in self._terms:
+            dense[i] = c
+        return tuple(dense)
 
     def __len__(self) -> int:
-        return len(self.coeffs)
+        return self._rank
+
+    def _combine(self, other: "HClass", sign: int) -> "HClass":
+        if not isinstance(other, HClass):
+            return NotImplemented
+        if self._rank != other._rank:
+            raise ValueError(f"class ranks differ: {self._rank} and {other._rank}")
+        acc = dict(self._terms)
+        get = acc.get
+        for i, c in other._terms:
+            acc[i] = get(i, 0) + sign * c
+        # two sorted runs: the sort is a linear merge
+        terms = sorted(acc.items())
+        if 0 in acc.values():
+            terms = [t for t in terms if t[1]]
+        return HClass._sparse(self._rank, tuple(terms))
 
     def __add__(self, other: "HClass") -> "HClass":
-        return HClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "HClass") -> "HClass":
-        return HClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs, strict=True)))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "HClass":
-        return HClass(tuple(-a for a in self.coeffs))
+        return HClass._sparse(self._rank, tuple((i, -c) for i, c in self._terms))
 
     def __mul__(self, k: int) -> "HClass":
         if not isinstance(k, int):
             return NotImplemented
-        return HClass(tuple(k * a for a in self.coeffs))
+        if k == 0:
+            return HClass.zero(self._rank)
+        return HClass._sparse(self._rank, tuple((i, k * c) for i, c in self._terms))
 
     __rmul__ = __mul__
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not self._terms
 
     @staticmethod
     def zero(rank: int) -> "HClass":
-        return HClass((0,) * rank)
+        return HClass._sparse(rank, ())
+
+
+def _integer(value: object, position: int) -> int:
+    """``value`` as an int: Python and numpy integers pass, bool and every
+    non-integral type (float, str, ...) raise ``TypeError``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise TypeError(
+        f"class coefficient {position} must be an integer, got {type(value).__name__} {value!r}"
+    )
 
 
 # E8 Dynkin graph: a chain of seven nodes with an eighth node hanging off
@@ -205,24 +295,34 @@ def direct_sum(parts: Sequence[Lattice]) -> Lattice:
     return Lattice._from_blocks(tuple(b for p in parts for b in p._blocks))
 
 
-def _vec(x: "HClass | Sequence[int]") -> tuple[int, ...]:
-    if isinstance(x, HClass):
-        return x.coeffs
-    return tuple(map(int, x))
+def _as_class(x: "HClass | Sequence[int]") -> HClass:
+    return x if isinstance(x, HClass) else HClass(x)
 
 
 def pairing(L: Lattice, x: "HClass | Sequence[int]", y: "HClass | Sequence[int]") -> int:
-    """The intersection pairing x . y = x^T (gram) y, exactly."""
-    a, b = _vec(x), _vec(y)
-    if len(a) != L.rank or len(b) != L.rank:
+    """The intersection pairing x . y = x^T (gram) y, exactly.
+
+    Walks the terms of the sparser class; for a term at index i, the
+    other class's terms inside row i's block are found by bisection.  The
+    cost is O(|x| log |y| + overlap), independent of the rank.
+    """
+    a, b = _as_class(x), _as_class(y)
+    rows = L._rows
+    if a._rank != len(rows) or b._rank != len(rows):
         raise ValueError(
-            f"class length mismatch: got {len(a)} and {len(b)}, lattice rank is {L.rank}"
+            f"class length mismatch: got {a._rank} and {b._rank}, lattice rank is {len(rows)}"
         )
-    rows, offsets = L._rows, L._offsets
+    walk, other = a._terms, b._terms
+    if len(walk) > len(other):
+        walk, other = other, walk
+    offsets = L._offsets
     total = 0
-    for i in compress(range(len(a)), a):
+    for i, c in walk:
         row, s = rows[i], offsets[i]
-        total += a[i] * sum(map(mul, row, b[s : s + len(row)]))
+        # (s,) sorts before every term (s, v): the first term at index >= s
+        lo = bisect_left(other, (s,))
+        for j, v in other[lo : bisect_left(other, (s + len(row),), lo)]:
+            total += c * row[j - s] * v
     return total
 
 
@@ -230,14 +330,31 @@ def characteristic_defect(L: Lattice, c: "HClass | Sequence[int]") -> int | None
     """The first basis index i with c . e_i - e_i . e_i odd, or None when
     c is characteristic (c . x = x . x mod 2 for every class x).
 
-    Not exported; the ambient catalog uses it to validate c1.
+    Block by block: where c has no terms, the test reads only the block's
+    diagonal, memoized per block.  Not exported; the ambient catalog uses
+    it to validate c1.
     """
-    v = _vec(c)
-    if len(v) != L.rank:
-        raise ValueError(f"class length {len(v)} does not match lattice rank {L.rank}")
-    for i, (row, s) in enumerate(zip(L._rows, L._offsets)):
-        if (sum(map(mul, row, v[s : s + len(row)])) - row[i - s]) % 2:
-            return i
+    h = _as_class(c)
+    if len(h) != L.rank:
+        raise ValueError(f"class length {len(h)} does not match lattice rank {L.rank}")
+    terms, k, start = h._terms, 0, 0
+    for block in L._blocks:
+        end = start + len(block)
+        first = k
+        while k < len(terms) and terms[k][0] < end:
+            k += 1
+        if first == k:
+            i = _block_odd_diagonal(block)
+            if i is not None:
+                return start + i
+        else:
+            local = [0] * len(block)
+            for j, v in terms[first:k]:
+                local[j - start] = v
+            for i, row in enumerate(block):
+                if (sum(map(mul, row, local)) - row[i]) % 2:
+                    return start + i
+        start = end
     return None
 
 
@@ -250,6 +367,11 @@ def _swap_symmetric(m: list[list[Fraction]], i: int, j: int) -> None:
 # Distinct blocks are few (E8, a pair per n, +-1), so a small constant
 # bound keeps the memo tables finite in a long-lived process.
 _BLOCK_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _block_odd_diagonal(gram: Gram) -> int | None:
+    return next((i for i, row in enumerate(gram) if row[i] % 2), None)
 
 
 @functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
@@ -331,4 +453,4 @@ def basis_class(L: Lattice, index: int) -> HClass:
     """The index-th standard basis vector as a homology class."""
     if not 0 <= index < L.rank:
         raise ValueError(f"basis index {index} out of range for rank {L.rank}")
-    return HClass((0,) * index + (1,) + (0,) * (L.rank - index - 1))
+    return HClass._sparse(L.rank, ((index, 1),))

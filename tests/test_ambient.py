@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from realsurf import ambient
 from realsurf.ambient import (
     AmbientSurface,
     blow_up,
@@ -172,3 +175,28 @@ def test_by_name():
         by_name("t4")
     with pytest.raises(ValueError):
         by_name("k3", blow_ups=-1)
+
+
+def test_by_name_rejects_negative_blow_ups_before_building(monkeypatch):
+    def fail(n):
+        raise AssertionError("the base surface was built")
+
+    monkeypatch.setattr(ambient, "e", fail)
+    for name in ("e(160)", "k3"):
+        with pytest.raises(ValueError, match="nonnegative"):
+            by_name(name, -1)
+
+
+def test_large_ambient_memory_does_not_grow_with_n():
+    # every named class and c1 of E(n) hold one term each; dense classes
+    # would hold 4n - 2 tuples of length 12n - 2, hundreds of megabytes
+    tracemalloc.start()
+    try:
+        x = e(1000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.rank == 11998
+    assert held < 5_000_000
+    for surface in (x, by_name("cp2", 200)):
+        assert all(len(h.terms) == 1 for h in surface.named.values())

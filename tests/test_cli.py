@@ -159,6 +159,7 @@ PINNED_CERTIFICATES = {
     "stein-disc-nonorientable-chi--1-euler--3-section-of-em": [
         "stein-disc-nonorientable", "--chi", "-1", "--euler", "-3", "--strategy", "section-of-em",
     ],
+    "stein-disc-genus-30-euler--60": ["stein-disc", "--genus", "30", "--euler", "-60"],
 }
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -169,6 +170,24 @@ def test_certify_output_is_pinned(capsys, name, fmt, ext):
     code, out, err = _run(capsys, "certify", *PINNED_CERTIFICATES[name], "--format", fmt)
     assert (code, err) == (0, "")
     assert out == (DATA / f"certify-{name}.{ext}").read_text(encoding="utf-8")
+
+
+# the exact bytes of the queries that print classes and class pairings
+PINNED_QUERIES = {
+    "ambient-info-e-40": ["ambient", "info", "e(40)"],
+    "ambient-info-cp2-blow-ups-30": ["ambient", "info", "cp2", "--blow-ups", "30"],
+    "invariants-k3-chi-0-class-s+2f-s1": [
+        "invariants", "--ambient", "k3", "--chi", "0", "--class", "s+2f-s1",
+    ],
+}
+
+
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt")])
+@pytest.mark.parametrize("name", PINNED_QUERIES)
+def test_query_output_is_pinned(capsys, name, fmt, ext):
+    code, out, err = _run(capsys, *PINNED_QUERIES[name], "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"{name}.{ext}").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize(

@@ -216,3 +216,97 @@ def test_lattice_pickles_and_copies():
         assert again == lat
         assert again.gram == lat.gram
         assert signature(again) == signature(lat)
+
+
+@pytest.mark.parametrize("bad", [1.5, "2", True], ids=["float", "str", "bool"])
+def test_non_integer_coefficient_is_rejected(bad):
+    with pytest.raises(TypeError, match="coefficient 1 "):
+        HClass((0, bad, 1))
+    with pytest.raises(TypeError, match="coefficient 0 "):
+        pairing(diag([1, -1]), [bad, 1], (1, 1))
+    with pytest.raises(TypeError, match="coefficient 1 "):
+        pairing(diag([1, -1]), (1, 1), [1, bad])
+
+
+def test_numpy_integer_coefficients_are_accepted():
+    h = HClass(np.array([0, 3, -1], dtype=np.int64))
+    assert h.coeffs == (0, 3, -1)
+    assert all(type(c) is int for c in h.coeffs)
+    assert h.terms == ((1, 3), (2, -1))
+
+
+# the coupled 3x3 block of the permutation test: rows 0 and 2 meet around row 1
+_COUPLED = Lattice(((1, 0, 2), (0, -1, 0), (2, 0, 1)))
+
+
+def _random_lattice(rng):
+    parts = []
+    for _ in range(rng.randrange(1, 5)):
+        kind = rng.randrange(4)
+        if kind == 0:
+            parts.append(e8_neg())
+        elif kind == 1:
+            parts.append(pair(rng.randrange(-3, 4)))
+        elif kind == 2:
+            parts.append(diag([rng.choice((1, -1)) for _ in range(rng.randrange(1, 4))]))
+        else:
+            parts.append(_COUPLED)
+    return direct_sum(parts)
+
+
+def _random_dense(rng, rank):
+    density = rng.choice((0.0, 0.1, 0.5, 1.0))
+    return [rng.randrange(-3, 4) if rng.random() < density else 0 for _ in range(rank)]
+
+
+def test_sparse_classes_match_dense_arithmetic():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        lat = _random_lattice(rng)
+        g, n = lat.gram, lat.rank
+        u, v = _random_dense(rng, n), _random_dense(rng, n)
+        x, y = HClass(u), HClass(v)
+        assert x.coeffs == tuple(u)
+        assert x.terms == tuple((i, c) for i, c in enumerate(u) if c)
+        brute = sum(u[i] * g[i][j] * v[j] for i in range(n) for j in range(n))
+        assert pairing(lat, x, y) == pairing(lat, y, x) == brute
+        assert pairing(lat, u, v) == pairing(lat, x, v) == brute
+        assert (x + y).coeffs == tuple(a + b for a, b in zip(u, v))
+        assert (x - y).coeffs == tuple(a - b for a, b in zip(u, v))
+        assert (-x).coeffs == tuple(-a for a in u)
+        k = rng.randrange(-3, 4)
+        assert (k * x).coeffs == (x * k).coeffs == tuple(k * a for a in u)
+        assert (x == y) == (u == v)
+        assert x - x == HClass.zero(n) and (x - x).is_zero
+        assert x == HClass(u) and hash(x) == hash(HClass(u))
+        assert (x + y - y) == x and hash(x + y - y) == hash(x)
+
+
+def test_hclass_pickles_and_copies():
+    h = HClass((0, 3, 0, -2, 0))
+    for again in (pickle.loads(pickle.dumps(h)), copy.copy(h), copy.deepcopy(h)):
+        assert again == h
+        assert hash(again) == hash(h)
+        assert again.coeffs == h.coeffs
+    with pytest.raises(AttributeError):
+        h._rank = 4
+
+
+def test_rank_mismatch_raises():
+    lat = pair(2)
+    a, b = HClass((1, 0)), HClass((1, 0, 0))
+    with pytest.raises(ValueError):
+        a + b
+    with pytest.raises(ValueError):
+        a - b
+    with pytest.raises(ValueError):
+        pairing(lat, a, b)
+    with pytest.raises(ValueError):
+        pairing(lat, b, a)
+
+
+def test_basis_class_is_one_term():
+    lat = direct_sum([e8_neg()] * 1000)
+    h = basis_class(lat, 4321)
+    assert h.terms == ((4321, 1),) and len(h) == 8000
+    assert pairing(lat, h, h) == -2
