@@ -254,6 +254,9 @@ _BUDGET = 1 << 14
 # spend the whole budget on every rectangle at once, and a batch bounds the
 # segments held in memory to about _BATCH * _BUDGET
 _BATCH = 64
+# nodes per strip of the grid lattice and of the candidate pass: a strip's
+# partials, edge products and their temporaries stay in cache
+_STRIP_NODES = 1 << 14
 
 
 def _wrap(angles):
@@ -283,20 +286,32 @@ def _delta(partials):
     return zu * wv - wu * zv
 
 
-def _grid_delta(chart: Chart, grid: int):
-    """The partials and delta on the (grid+1)^2 node lattice: the cell
-    test reads each cell's phase at its four corners."""
+def _grid_delta(chart: Chart, grid: int, chart_index: int):
+    """Delta on the (grid+1)^2 node lattice, where the cell test reads each
+    cell's phase at its four corners.
+
+    The lattice is evaluated one strip of about ``_STRIP_NODES`` nodes
+    (whole rows) at a time, so a strip's partials stay in cache; each
+    strip is checked for immersion and dropped, and only delta is kept.
+    Strips run in row-major order, so a failure names the same first bad
+    node as a whole-lattice check would.
+    """
     (u0, u1), (v0, v1) = chart.u_range, chart.v_range
     hu, hv = (u1 - u0) / grid, (v1 - v0) / grid
     us = u0 + _GRID_SHIFT * hu + hu * np.arange(grid + 1)
     vs = v0 + _GRID_SHIFT * hv + hv * np.arange(grid + 1)
-    partials = _partials(chart, *np.meshgrid(us, vs, indexing="ij"), hu, hv)
-    delta = _delta(partials)
+    delta = np.empty((grid + 1, grid + 1), dtype=complex)
+    rows = max(1, _STRIP_NODES // (grid + 1))
+    for first in range(0, grid + 1, rows):
+        strip = us[first:first + rows]
+        partials = _partials(chart, *np.meshgrid(strip, vs, indexing="ij"), hu, hv)
+        _check_immersion(chart_index, strip, vs, partials)
+        delta[first:first + rows] = _delta(partials)
     if chart.periodic_u:
         delta[-1, :] = delta[0, :]
     if chart.periodic_v:
         delta[:, -1] = delta[:, 0]
-    return us, vs, (hu, hv), partials, delta
+    return us, vs, (hu, hv), delta
 
 
 def _check_immersion(chart_index: int, us, vs, partials) -> None:
@@ -314,26 +329,46 @@ def _check_immersion(chart_index: int, us, vs, partials) -> None:
         )
 
 
-def _candidate_cells(delta, zero_floor):
-    """Index pairs (i, j) of the cells that need a closer look: the phases
-    at their four corners wind, or take a step above pi/2 that only
-    adaptive sampling can settle, or a corner is a near-zero node.
+def _candidate_cells(delta, zero_floor, modulus, scale):
+    """Index pairs (i, j) of the cells that need a closer look, by the rule
+    ``_windings`` starts from on the same four corners: a cell left out
+    has four settled steps summing to zero, so refinement would judge it
+    winding 0 at once.  ``modulus`` is |delta| and ``scale`` its median.
 
-    This is the rule ``_windings`` starts from on the same four corners:
-    a cell left out has four settled steps summing to zero, so refinement
-    would judge it winding 0 at once.
+    Each lattice edge from a to b is tested once, in real arithmetic: its
+    phase step exceeds pi/2 exactly when Re(b conj(a)) < 0.  A cell is
+    flagged when one of its four edges is unsettled, when the four turns
+    Im(b conj(a)) along its loop (i,j) -> (i+1,j) -> (i+1,j+1) -> (i,j+1)
+    all have the same strict sign (four steps of at most pi/2 wind only
+    as four steps of pi/2 in one direction), or when a corner is a
+    near-zero node.  Delta is first multiplied by the power of two that
+    brings scale into [1/2, 1); the multiply is exact.  A node about
+    2^500 or more off the median, or zero, infinite or nan, is flagged
+    like a near-zero node, so the products of the other nodes can neither
+    underflow nor overflow.  The cells are tested one strip of rows at a
+    time, like the lattice in ``_grid_delta``.
     """
-    ph = np.angle(delta)
-    loop = (ph[:-1, :-1], ph[1:, :-1], ph[1:, 1:], ph[:-1, 1:], ph[:-1, :-1])
-    total = np.zeros(ph[:-1, :-1].shape)
-    flagged = np.zeros(total.shape, dtype=bool)
-    for a, b in zip(loop[:-1], loop[1:]):
-        step = _wrap(b - a)
-        total += step
-        flagged |= np.abs(step) > _SETTLED
-    flagged |= np.rint(total / _TWO_PI) != 0
-    small = np.abs(delta) < zero_floor
-    flagged |= small[:-1, :-1] | small[1:, :-1] | small[:-1, 1:] | small[1:, 1:]
+    factor = 2.0 ** min(-math.frexp(scale)[1], 1023)  # 2.0 ** 1024 overflows
+    flagged = np.empty((delta.shape[0] - 1, delta.shape[1] - 1), dtype=bool)
+    rows = max(1, _STRIP_NODES // delta.shape[1])
+    # an off-scale node's products may be 0, inf or nan; its cells are
+    # flagged whatever they are
+    with np.errstate(invalid="ignore", over="ignore", under="ignore"):
+        for first in range(0, len(flagged), rows):
+            d = delta[first:first + rows + 1] * factor
+            # edge products along u, (i,j) -> (i+1,j), and along v, (i,j) -> (i,j+1)
+            pu, pv = d[1:] * d[:-1].conj(), d[:, 1:] * d[:, :-1].conj()
+            open_u, open_v = pu.real < 0, pv.real < 0
+            cells = open_u[:, :-1] | open_u[:, 1:] | open_v[:-1] | open_v[1:]
+            # turn signs; the loop runs the u edge at j+1 and the v edge at i backwards
+            sign_u = (pu.imag > 0).view(np.int8) - (pu.imag < 0).view(np.int8)
+            sign_v = (pv.imag > 0).view(np.int8) - (pv.imag < 0).view(np.int8)
+            cells |= np.abs(sign_u[:, :-1] + sign_v[1:] - sign_u[:, 1:] - sign_v[:-1]) == 4
+            m = modulus[first:first + rows + 1]
+            mf = m * factor
+            near = (m < zero_floor) | ~((mf > 2.0**-500) & (mf < 2.0**500))
+            cells |= near[:-1, :-1] | near[1:, :-1] | near[:-1, 1:] | near[1:, 1:]
+            flagged[first:first + rows] = cells
     return np.argwhere(flagged)
 
 
@@ -505,9 +540,9 @@ def find_complex_points(
         raise ValueError("grid must be at least 8")
     reports: list[PointReport] = []
     for chart_index, chart in enumerate(surface.charts):
-        us, vs, h, partial_grids, delta = _grid_delta(chart, grid)
-        _check_immersion(chart_index, us, vs, partial_grids)
-        scale = float(np.median(np.abs(delta)))
+        us, vs, h, delta = _grid_delta(chart, grid, chart_index)
+        modulus = np.abs(delta)
+        scale = float(np.median(modulus))
         if scale == 0.0:
             raise UnresolvedCluster(
                 f"detector vanishes on half the grid of chart {chart_index}; "
@@ -515,7 +550,7 @@ def find_complex_points(
             )
         zero_floor = tol.zero_rel * scale
         cell = min(h)
-        i, j = _candidate_cells(delta, zero_floor).T
+        i, j = _candidate_cells(delta, zero_floor, modulus, scale).T
         located = _localize(chart, np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]]), h, tol)
         stop = 1e-13 * scale
         if chart.d_du is not None and chart.d_dv is not None:

@@ -25,7 +25,17 @@ from realsurf.bishop import (
     survey,
     wrinkled_sphere,
 )
-from realsurf.bishop import DEFAULT_TOLERANCES, _GRID_SHIFT, _candidate_cells, _grid_delta, _windings
+from realsurf.bishop import (
+    DEFAULT_TOLERANCES,
+    _GRID_SHIFT,
+    _STRIP_NODES,
+    _candidate_cells,
+    _check_immersion,
+    _delta,
+    _grid_delta,
+    _partials,
+    _windings,
+)
 
 
 def _winding_linear(b, c, samples=4096):
@@ -459,6 +469,32 @@ def test_unresolved_cluster_on_zero_at_grid_node(model):
         find_complex_points(surface, 64)
 
 
+@pytest.mark.parametrize("model", [_graph_alpha2_at_node, _index_zero_at_node])
+def test_zero_at_grid_node_is_flagged_with_no_zero_floor(model):
+    # with zero_rel = 0 no node is near zero by the floor, but the exact
+    # zero still flags the cells round it, and refinement probes it
+    ev, d_du, d_dv = model()
+    chart = Chart(ev, (-0.8, 0.8), (-0.8, 0.8), False, False, d_du, d_dv)
+    surface = ParametrizedSurface("node-zero", (chart,), True, False, None, None)
+    with pytest.raises(UnresolvedCluster, match="refinement boundary"):
+        find_complex_points(surface, 64, Tolerances(zero_rel=0.0))
+
+
+def _detector_chart(detector):
+    """F_u = (1, 0), F_v = (i, delta) over [-1, 1]^2: the detector is delta itself."""
+
+    def ev(u, v):
+        return u + 1j * v, 0j * u
+
+    def d_du(u, v):
+        return 1.0 + 0j * u, 0j * u
+
+    def d_dv(u, v):
+        return 1j + 0j * u, detector(u, v)
+
+    return Chart(ev, (-1.0, 1.0), (-1.0, 1.0), False, False, d_du, d_dv)
+
+
 # a pair of zeros 0.44 cells apart in neighbouring cells of the shifted
 # grid 64 over [-1, 1]: (u_40 -+ 0.22 h, v_20 + 0.5 h / + 0.55 h)
 _H = 2.0 / 64
@@ -475,17 +511,7 @@ _PAIR_C = complex(-1 + (_GRID_SHIFT + 40) * _H + 0.22 * _H, -1 + (_GRID_SHIFT + 
     ids=["holomorphic", "conjugate"],
 )
 def test_close_zeros_in_neighbouring_cells_are_both_reported(detector, windings):
-    # F_u = (1, 0), F_v = (i, delta): the detector is delta itself
-    def ev(u, v):
-        return u + 1j * v, 0j * u
-
-    def d_du(u, v):
-        return 1.0 + 0j * u, 0j * u
-
-    def d_dv(u, v):
-        return 1j + 0j * u, detector(u + 1j * v)
-
-    chart = Chart(ev, (-1.0, 1.0), (-1.0, 1.0), False, False, d_du, d_dv)
+    chart = _detector_chart(lambda u, v: detector(u + 1j * v))
     surface = ParametrizedSurface("close-pair", (chart,), True, False, None, None)
     points = find_complex_points(surface, 64)
     assert len(points) == 2
@@ -508,9 +534,11 @@ def test_close_zeros_in_neighbouring_cells_are_both_reported(detector, windings)
 def test_candidate_cells_contain_every_winding_cell(surface, grid):
     """The grid pass may only skip a cell whose boundary does not wind."""
     for chart in surface.charts:
-        us, vs, h, _, delta = _grid_delta(chart, grid)
-        zero_floor = DEFAULT_TOLERANCES.zero_rel * float(np.median(np.abs(delta)))
-        candidates = set(map(tuple, _candidate_cells(delta, zero_floor).tolist()))
+        us, vs, h, delta = _grid_delta(chart, grid, 0)
+        modulus = np.abs(delta)
+        scale = float(np.median(modulus))
+        zero_floor = DEFAULT_TOLERANCES.zero_rel * scale
+        candidates = set(map(tuple, _candidate_cells(delta, zero_floor, modulus, scale).tolist()))
         i, j = np.indices((grid, grid)).reshape(2, -1)
         windings = _windings(chart, np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]]), h)
         winding_cells = set(zip(i[windings != 0].tolist(), j[windings != 0].tolist()))
@@ -522,7 +550,107 @@ def test_candidate_cells_flag_a_winding_of_settled_steps():
     # corner phases -3pi/4, -pi/4, pi/4, 3pi/4: four steps of exactly pi/2,
     # each settled, that wind once
     delta = np.array([[-1 - 1j, -1 + 1j], [1 - 1j, 1 + 1j]])
-    assert _candidate_cells(delta, 0.0).tolist() == [[0, 0]]
+    assert _candidate_cells(delta, 0.0, np.abs(delta), math.sqrt(2)).tolist() == [[0, 0]]
+
+
+@pytest.mark.parametrize("node", [0.0, 1e-160, 1e160, math.inf, math.nan])
+def test_candidate_cells_flag_the_cells_round_a_node_off_scale(node):
+    # a constant field with one node at 0, far off the median or not finite:
+    # its edge products would be 0, inf or nan, so its four cells are flagged
+    # like those of a near-zero node even with no zero floor
+    delta = np.ones((5, 5), dtype=complex)
+    delta[2, 2] = node
+    modulus = np.abs(delta)
+    cells = _candidate_cells(delta, 0.0, modulus, float(np.median(modulus)))
+    assert cells.tolist() == [[1, 1], [1, 2], [2, 1], [2, 2]]
+
+
+def _angle_candidate_cells(delta, zero_floor):
+    """Reference: the candidate rule read off wrapped corner angles."""
+    ph = np.angle(delta)
+    loop = (ph[:-1, :-1], ph[1:, :-1], ph[1:, 1:], ph[:-1, 1:], ph[:-1, :-1])
+    total = np.zeros(ph[:-1, :-1].shape)
+    flagged = np.zeros(total.shape, dtype=bool)
+    for a, b in zip(loop[:-1], loop[1:]):
+        step = (b - a + math.pi) % (2 * math.pi) - math.pi
+        total += step
+        flagged |= np.abs(step) > math.pi / 2
+    flagged |= np.rint(total / (2 * math.pi)) != 0
+    small = np.abs(delta) < zero_floor
+    flagged |= small[:-1, :-1] | small[1:, :-1] | small[:-1, 1:] | small[1:, 1:]
+    return np.argwhere(flagged)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_candidate_cells_match_the_angle_rule_on_noise(seed):
+    # raw and smoothed complex noise, up to several row strips tall
+    rng = np.random.default_rng(seed)
+    m, n = rng.integers(2, 300, size=2)
+    field = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    for delta in (field, np.cumsum(np.cumsum(field, axis=0), axis=1)):
+        modulus = np.abs(delta)
+        scale = float(np.median(modulus))
+        zero_floor = 0.1 * scale
+        cells = _candidate_cells(delta, zero_floor, modulus, scale)
+        assert np.array_equal(cells, _angle_candidate_cells(delta, zero_floor))
+
+
+def test_tiny_detector_is_scanned_like_a_unit_one():
+    # delta = 1e-170 (z - a): its edge products would underflow to 0
+    # without the power-of-two rescale, and no cell would be flagged
+    def scan(factor):
+        chart = _detector_chart(lambda u, v: factor * (u + 1j * v - _PAIR_A))
+        return find_complex_points(ParametrizedSurface("tiny", (chart,), True, False, None, None), 64)
+
+    (unit,), (tiny,) = scan(1.0), scan(1e-170)
+    assert (tiny.winding_index, tiny.sign, tiny.ptype) == (unit.winding_index, unit.sign, unit.ptype) == (
+        1, 1, PointType.ELLIPTIC,
+    )
+    # Newton's 2x2 determinant underflows at this scale, so the point is
+    # the centre of its depth-12 quadtree cell
+    assert abs(complex(*tiny.location) - complex(*unit.location)) < _H / 2**12
+
+
+@pytest.mark.parametrize("grid", [100, 512])
+@pytest.mark.parametrize(
+    "surface",
+    [wrinkled_sphere(0.6), flat_torus(), graph_normal_form(2.0)],
+    ids=["wrinkled", "torus", "graph"],
+)
+def test_strip_lattice_equals_whole_lattice(surface, grid):
+    for chart in surface.charts:
+        us, vs, h, delta = _grid_delta(chart, grid, 0)
+        whole = _delta(_partials(chart, *np.meshgrid(us, vs, indexing="ij"), *h))
+        if chart.periodic_u:
+            whole[-1, :] = whole[0, :]
+        if chart.periodic_v:
+            whole[:, -1] = whole[:, 0]
+        assert delta.tobytes() == whole.tobytes()
+
+
+def test_immersion_failure_past_the_first_strip_names_the_first_bad_node():
+    # F_v turns real (parallel to F_u) where u > 0.5 and v > 0.3: at grid
+    # 512 those nodes start many strips in
+    def ev(u, v):
+        return u + 1j * v, 0j * u
+
+    def d_du(u, v):
+        return 1.0 + 0j * u, 0j * u
+
+    def d_dv(u, v):
+        return np.where((u > 0.5) & (v > 0.3), 1.0, 1j) + 0j * u, 0j * u
+
+    grid = 512
+    chart = Chart(ev, (-1.0, 1.0), (-1.0, 1.0), False, False, d_du, d_dv)
+    us = -1.0 + _GRID_SHIFT * (2.0 / grid) + (2.0 / grid) * np.arange(grid + 1)
+    assert np.argmax(us > 0.5) >= _STRIP_NODES // (grid + 1)
+    partials = _partials(chart, *np.meshgrid(us, us, indexing="ij"), 2.0 / grid, 2.0 / grid)
+    with pytest.raises(ImmersionFailure) as whole:
+        _check_immersion(0, us, us, partials)
+    surface = ParametrizedSurface("half-real", (chart,), True, False, None, None)
+    with pytest.raises(ImmersionFailure) as strips:
+        find_complex_points(surface, grid)
+    assert str(strips.value) == str(whole.value)
 
 
 def test_scan_is_deterministic():

@@ -190,6 +190,21 @@ def test_query_output_is_pinned(capsys, name, fmt, ext):
     assert out == (DATA / f"{name}.{ext}").read_text(encoding="utf-8")
 
 
+# the exact bytes of two scans: the grid pass may get faster, not different
+PINNED_SCANS = {
+    "bishop-scan-wrinkled-sphere-grid-256": ["bishop", "scan", "--surface", "wrinkled-sphere", "--grid", "256"],
+    "bishop-scan-round-sphere-grid-512": ["bishop", "scan", "--surface", "round-sphere", "--grid", "512"],
+}
+
+
+@pytest.mark.parametrize("fmt, ext", [("json", "json"), ("text", "txt")])
+@pytest.mark.parametrize("name", PINNED_SCANS)
+def test_scan_output_is_pinned(capsys, name, fmt, ext):
+    code, out, err = _run(capsys, *PINNED_SCANS[name], "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == (DATA / f"{name}.{ext}").read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize(
     "text",
     [
