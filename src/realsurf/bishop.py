@@ -315,12 +315,16 @@ def _grid_delta(chart: Chart, grid: int, chart_index: int):
 
 
 def _check_immersion(chart_index: int, us, vs, partials) -> None:
+    """Raise ``ImmersionFailure`` at the first node whose partials are
+    real-linearly dependent (relative Gram determinant below 1e-12).  A
+    square may overflow: a NaN Gram fails, an infinite one passes."""
     zu, wu, zv, wv = partials
-    na = np.abs(zu) ** 2 + np.abs(wu) ** 2
-    nb = np.abs(zv) ** 2 + np.abs(wv) ** 2
-    rp = (zu * np.conj(zv) + wu * np.conj(wv)).real
-    gram = na * nb - rp * rp
-    bad = (na * nb == 0.0) | (gram < 1e-12 * na * nb)
+    with np.errstate(over="ignore", invalid="ignore"):
+        na = np.abs(zu) ** 2 + np.abs(wu) ** 2
+        nb = np.abs(zv) ** 2 + np.abs(wv) ** 2
+        rp = (zu * np.conj(zv) + wu * np.conj(wv)).real
+        gram = na * nb - rp * rp
+        bad = (na * nb == 0.0) | ~(gram >= 1e-12 * na * nb)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise ImmersionFailure(
@@ -482,6 +486,10 @@ def _newton_polish(chart: Chart, u: float, v: float, cell: float, step: float, s
         _, d, du_, dv_ = _probe(chart, u, v, step)
         if abs(d) <= stop:
             break
+        # the power of two that brings max(|D_u|, |D_v|) into [1/2, 1): exact,
+        # and the 2x2 solve below neither underflows nor overflows
+        factor = 2.0 ** min(-math.frexp(max(abs(du_), abs(dv_)))[1], 1023)
+        d, du_, dv_ = d * factor, du_ * factor, dv_ * factor
         det = du_.real * dv_.imag - dv_.real * du_.imag
         if det == 0.0:
             break
@@ -666,56 +674,38 @@ def _stereo_chart(south: bool, eps: float) -> Chart:
     optional height wrinkle w -> w + eps * Re(z^2).
 
     The south chart is the north one precomposed with the holomorphic
-    transition 1/zeta, so the two charts orient the sphere consistently.
+    transition 1/zeta, so the two charts orient the sphere consistently:
+    it conjugates zeta and negates the height.
     """
+    conj = np.conj if south else (lambda x: x)
+    sign = -1.0 if south else 1.0
 
     def ev(u, v):
         s = u * u + v * v
         d = 1.0 + s
-        zeta = u + 1j * v
-        z = 2.0 * (np.conj(zeta) if south else zeta) / d
-        w = ((s - 1.0) if south else (1.0 - s)) / d
+        z = 2.0 * conj(u + 1j * v) / d
+        w = sign * (1.0 - s) / d
         if eps:
             w = w + eps * (z * z).real
         return z, w + 0j
 
-    def d_du(u, v):
-        s = u * u + v * v
-        d = 1.0 + s
-        zeta = u + 1j * v
-        if south:
-            z = 2.0 * np.conj(zeta) / d
-            zu = 2.0 * (d - 2.0 * u * np.conj(zeta)) / d**2
-            wu = 4.0 * u / d**2
-        else:
-            z = 2.0 * zeta / d
-            zu = 2.0 * (d - 2.0 * u * zeta) / d**2
-            wu = -4.0 * u / d**2
+    def partial(u, v, x, direction):
+        # d(z, w)/dx for the parameter x that moves u + iv along `direction`
+        d = 1.0 + (u * u + v * v)
+        zeta = conj(u + 1j * v)
+        z = 2.0 * zeta / d
+        zx = 2.0 * (conj(direction) * d - 2.0 * x * zeta) / d**2
+        wx = -sign * 4.0 * x / d**2
         if eps:
-            wu = wu + eps * 2.0 * (z * zu).real
-        return zu, wu + 0j
-
-    def d_dv(u, v):
-        s = u * u + v * v
-        d = 1.0 + s
-        zeta = u + 1j * v
-        if south:
-            z = 2.0 * np.conj(zeta) / d
-            zv = 2.0 * (-1j * d - 2.0 * v * np.conj(zeta)) / d**2
-            wv = 4.0 * v / d**2
-        else:
-            z = 2.0 * zeta / d
-            zv = 2.0 * (1j * d - 2.0 * v * zeta) / d**2
-            wv = -4.0 * v / d**2
-        if eps:
-            wv = wv + eps * 2.0 * (z * zv).real
-        return zv, wv + 0j
+            wx = wx + eps * 2.0 * (z * zx).real
+        return zx, wx + 0j
 
     if south:
         owns = lambda u, v: u * u + v * v < 1.0      # open south hemisphere
     else:
         owns = lambda u, v: u * u + v * v <= 1.0     # closed north hemisphere
     label = "south" if south else "north"
+    d_du, d_dv = (lambda u, v: partial(u, v, u, 1)), (lambda u, v: partial(u, v, v, 1j))
     return Chart(ev, (-1.15, 1.15), (-1.15, 1.15), False, False, d_du, d_dv, owns, label)
 
 

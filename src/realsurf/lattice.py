@@ -17,9 +17,9 @@ and ``pairing`` walks the terms of the sparser class, finding the other's
 terms inside each row's block by bisection: O(|x| log |y| + overlap),
 independent of the rank.
 
-No floating point is used anywhere: a block's signature comes from
-congruence diagonalization over the rationals, its determinant from
-fraction-free (Bareiss) elimination.
+No floating point is used anywhere: one fraction-free (Bareiss)
+congruence diagonalization per block, in integers, gives both the
+block's signature and its determinant.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import functools
 import math
 import operator
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import compress, repeat
 from operator import mul
 from typing import Iterable, Sequence
@@ -358,7 +357,7 @@ def characteristic_defect(L: Lattice, c: "HClass | Sequence[int]") -> int | None
     return None
 
 
-def _swap_symmetric(m: list[list[Fraction]], i: int, j: int) -> None:
+def _swap_symmetric(m: list[list[int]], i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]
     for row in m:
         row[i], row[j] = row[j], row[i]
@@ -375,10 +374,19 @@ def _block_odd_diagonal(gram: Gram) -> int | None:
 
 
 @functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
-def _block_signature(gram: Gram) -> tuple[int, int, int]:
+def _block_invariants(gram: Gram) -> tuple[int, int, int, int]:
+    """(b_plus, b_minus, b_zero, det) of one block by fraction-free
+    congruence diagonalization: the pivoting of the rational one, with the
+    Bareiss update, whose division by the previous pivot is exact.  After
+    a pivot d the remaining block holds d times the rational Schur
+    complement, so the rational pivots are d / prev.  Swaps and
+    transvections are integer congruences of determinant +-1, so the last
+    pivot is the determinant; a radical direction makes it 0.
+    """
     n = len(gram)
-    m = [[Fraction(v) for v in row] for row in gram]
+    m = [list(row) for row in gram]
     plus = minus = zero = 0
+    prev = 1
     for i in range(n):
         if m[i][i] == 0:
             piv = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
@@ -395,58 +403,36 @@ def _block_signature(gram: Gram) -> tuple[int, int, int]:
                     m[i][k] += m[off][k]
                 for k in range(n):
                     m[k][i] += m[k][off]
-        d = m[i][i]
+        d, pivot_row = m[i][i], m[i]
         for j in range(i + 1, n):
-            if m[j][i]:
-                f = m[j][i] / d
-                for k in range(n):
-                    m[j][k] -= f * m[i][k]
-                for k in range(n):
-                    m[k][j] -= f * m[k][i]
-        if d > 0:
+            row, f = m[j], m[j][i]
+            for k in range(i + 1, n):
+                row[k] = (row[k] * d - f * pivot_row[k]) // prev
+        if (d > 0) == (prev > 0):
             plus += 1
         else:
             minus += 1
-    return (plus, minus, zero)
-
-
-@functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
-def _block_determinant(gram: Gram) -> int:
-    n = len(gram)
-    m = [list(row) for row in gram]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if piv is None:
-                return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+        prev = d
+    return (plus, minus, zero, 0 if zero else prev)
 
 
 def signature(L: Lattice) -> tuple[int, int, int]:
-    """Counts (b_plus, b_minus, b_zero) of diagonal signs after congruence
-    diagonalization over the rationals.
+    """Counts (b_plus, b_minus, b_zero) of the signs of the pivots of a
+    congruence diagonalization, computed exactly in integers.
 
-    Exact: Sylvester's law makes the counts independent of the pivoting
-    choices, and they add over diagonal blocks.
+    Sylvester's law makes the counts independent of the pivoting choices,
+    and they add over diagonal blocks.
     """
     plus = minus = zero = 0
-    for p, m, z in map(_block_signature, L._blocks):
+    for p, m, z, _ in map(_block_invariants, L._blocks):
         plus, minus, zero = plus + p, minus + m, zero + z
     return (plus, minus, zero)
 
 
 def determinant(L: Lattice) -> int:
-    """Exact integer determinant: the product of the blocks' Bareiss
-    (fraction-free elimination) determinants."""
-    return math.prod(map(_block_determinant, L._blocks))
+    """Exact integer determinant: the product over the blocks of the last
+    pivot of the same elimination that gives ``signature``."""
+    return math.prod(inv[3] for inv in map(_block_invariants, L._blocks))
 
 
 def basis_class(L: Lattice, index: int) -> HClass:

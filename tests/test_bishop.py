@@ -595,20 +595,40 @@ def test_candidate_cells_match_the_angle_rule_on_noise(seed):
         assert np.array_equal(cells, _angle_candidate_cells(delta, zero_floor))
 
 
-def test_tiny_detector_is_scanned_like_a_unit_one():
-    # delta = 1e-170 (z - a): its edge products would underflow to 0
-    # without the power-of-two rescale, and no cell would be flagged
-    def scan(factor):
-        chart = _detector_chart(lambda u, v: factor * (u + 1j * v - _PAIR_A))
-        return find_complex_points(ParametrizedSurface("tiny", (chart,), True, False, None, None), 64)
+def _scan_scaled_detector(factor):
+    chart = _detector_chart(lambda u, v: factor * (u + 1j * v - _PAIR_A))
+    return find_complex_points(ParametrizedSurface("scaled", (chart,), True, False, None, None), 64)
 
-    (unit,), (tiny,) = scan(1.0), scan(1e-170)
-    assert (tiny.winding_index, tiny.sign, tiny.ptype) == (unit.winding_index, unit.sign, unit.ptype) == (
+
+def _assert_scanned_like_a_unit_detector(factor):
+    (unit,), (scaled,) = _scan_scaled_detector(1.0), _scan_scaled_detector(factor)
+    assert (scaled.winding_index, scaled.sign, scaled.ptype) == (unit.winding_index, unit.sign, unit.ptype) == (
         1, 1, PointType.ELLIPTIC,
     )
-    # Newton's 2x2 determinant underflows at this scale, so the point is
-    # the centre of its depth-12 quadtree cell
-    assert abs(complex(*tiny.location) - complex(*unit.location)) < _H / 2**12
+    assert abs(complex(*scaled.location) - complex(*unit.location)) < 1e-12
+
+
+def test_tiny_detector_is_scanned_like_a_unit_one():
+    # delta = 1e-170 (z - a): its edge products and Newton's 2x2
+    # determinant would underflow to 0 without the power-of-two rescales
+    _assert_scanned_like_a_unit_detector(1e-170)
+
+
+def test_huge_detector_is_scanned_like_a_unit_one():
+    # delta = 1e170 (z - a): the immersion check's squares of F_v and
+    # Newton's 2x2 determinant would overflow; no warning may escape
+    _assert_scanned_like_a_unit_detector(1e170)
+
+
+def test_immersion_check_fails_a_nan_gram_and_passes_an_infinite_one():
+    us = np.array([0.0])
+    one, big = np.ones((1, 1), dtype=complex), np.full((1, 1), 1e170 + 0j)
+    zero = np.zeros((1, 1), dtype=complex)
+    # F_u = F_v = (1e170, 0): every square is inf and the Gram is inf - inf
+    with pytest.raises(ImmersionFailure):
+        _check_immersion(0, us, us, (big, zero, big, zero))
+    # F_u = (1, 0), F_v = (i, 1e170): |F_v|^2 is inf, F_u . F_v = 0
+    _check_immersion(0, us, us, (one, zero, 1j * one, big))
 
 
 @pytest.mark.parametrize("grid", [100, 512])

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 import tracemalloc
@@ -310,3 +311,59 @@ def test_basis_class_is_one_term():
     h = basis_class(lat, 4321)
     assert h.terms == ((4321, 1),) and len(h) == 8000
     assert pairing(lat, h, h) == -2
+
+
+def _random_symmetric_form(rng, n):
+    """A random symmetric integer matrix of size n: entries in [-4, 4]
+    (most diagonal entries zero in a third of the draws), or, in another
+    third, B^T D B with B of rank at most n - 1, so the form is degenerate."""
+    kind = rng.randrange(3)
+    if kind == 2:
+        k = rng.randrange(n)
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        d = [rng.choice((-2, -1, 1, 2, 3)) for _ in range(k)]
+        return [[sum(b[a][i] * d[a] * b[a][j] for a in range(k)) for j in range(n)] for i in range(n)]
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            g[i][j] = g[j][i] = rng.randint(-4, 4)
+        if kind == 1 and rng.random() < 0.8:
+            g[i][i] = 0
+    return g
+
+
+def test_signature_and_determinant_match_floating_oracles_on_random_forms():
+    rng = random.Random(20261018)
+    for _ in range(600):
+        lat = Lattice(_random_symmetric_form(rng, rng.randint(1, 9)))
+        assert signature(lat) == _np_signature(lat)
+        assert determinant(lat) == _np_det(lat)
+
+
+def _random_unimodular(rng, n):
+    """A dense integer matrix of determinant +-1: a permutation times unit
+    lower and unit upper triangular factors with entries in {-1, 0, 1}."""
+    lower = [[int(i == j) if i <= j else rng.randint(-1, 1) for j in range(n)] for i in range(n)]
+    upper = [[int(i == j) if i >= j else rng.randint(-1, 1) for j in range(n)] for i in range(n)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[sum(lower[perm[i]][k] * upper[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def test_signature_and_determinant_of_dense_congruent_diagonal_forms():
+    # G = U D U^T with U unimodular: by Sylvester's law the signature is the
+    # signs of D, and det G = det(U)^2 prod(D) = prod(D) exactly
+    rng = random.Random(48)
+    for _ in range(6):
+        n = rng.randint(24, 40)
+        u = _random_unimodular(rng, n)
+        d = [rng.choice((-3, -2, -1, 1, 2, 5)) for _ in range(n)]
+        if rng.random() < 0.5:
+            for i in rng.sample(range(n), rng.randint(1, 3)):
+                d[i] = 0
+        g = [[sum(u[i][k] * d[k] * u[j][k] for k in range(n)) for j in range(n)] for i in range(n)]
+        lat = Lattice(g)
+        assert len(lat._blocks) == 1
+        expected = (sum(x > 0 for x in d), sum(x < 0 for x in d), d.count(0))
+        assert signature(lat) == expected
+        assert determinant(lat) == math.prod(d)
