@@ -8,8 +8,11 @@ F(u, v) this happens exactly where
     delta(u, v) = det_C( dF/du, dF/dv )
 
 vanishes (the two partials become complex-linearly dependent), so
-detection is zero-finding for delta: winding-number tests on grid
-cells, quadtree refinement, and a Newton polish.
+detection is zero-finding for delta: a coarse-to-fine grid pass (delta
+on every 8th node of the grid, a Lipschitz exclusion test per coarse
+cell, and the fine nodes only in the coarse cells it cannot clear),
+winding-number tests on the fine cells left, quadtree refinement, and a
+Newton polish.
 
 At each zero the detector is linearized in the tangent-line coordinate
 z = <F - F(0), t>, t the unit complex tangent direction:
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -120,6 +124,9 @@ class Tolerances:
             value = getattr(self, name)
             if not value >= 0:
                 raise ValueError(f"tolerance {name} must be >= 0, got {value!r}")
+        # a quadtree depth: a Python or numpy integer, not a bool
+        if isinstance(self.max_refine, bool) or not isinstance(self.max_refine, numbers.Integral):
+            raise TypeError(f"tolerance max_refine must be an integer, got {self.max_refine!r}")
 
 
 DEFAULT_TOLERANCES = Tolerances()
@@ -254,8 +261,15 @@ _BUDGET = 1 << 14
 # spend the whole budget on every rectangle at once, and a batch bounds the
 # segments held in memory to about _BATCH * _BUDGET
 _BATCH = 64
-# nodes per strip of the grid lattice and of the candidate pass: a strip's
-# partials, edge products and their temporaries stay in cache
+# fine cells per coarse cell side in the grid pass: the coarse lattice is
+# every 8th node.  A feature of delta narrower than about two fine cells
+# can lie wholly between the coarse samples and be missed (README,
+# "Scanner conventions"); stride 16 misses them at twice the width, and
+# stride 4 made a grid-512 scan 2.5 times slower
+_STRIDE = 8
+# nodes per strip of the fine pass (stacked blocks of kept coarse cells)
+# and of the whole-lattice immersion check on the error path: a strip's
+# partials and their temporaries stay in cache
 _STRIP_NODES = 1 << 14
 
 
@@ -286,45 +300,158 @@ def _delta(partials):
     return zu * wv - wu * zv
 
 
-def _grid_delta(chart: Chart, grid: int, chart_index: int):
-    """Delta on the (grid+1)^2 node lattice, where the cell test reads each
-    cell's phase at its four corners.
+def _grid_pass(chart: Chart, grid: int, chart_index: int, zero_rel: float):
+    """The candidate cells of the (grid x grid) cell lattice, coarse to fine.
 
-    The lattice is evaluated one strip of about ``_STRIP_NODES`` nodes
-    (whole rows) at a time, so a strip's partials stay in cache; each
-    strip is checked for immersion and dropped, and only delta is kept.
-    Strips run in row-major order, so a failure names the same first bad
-    node as a whole-lattice check would.
+    Delta lives on the (grid+1)^2 node lattice and is evaluated on it in
+    two steps: ``_coarse_pass`` samples every ``_STRIDE``-th node and
+    clears the coarse cells that a Lipschitz bound shows free of zeros,
+    and ``_fine_pass`` evaluates the fine nodes of the other coarse cells
+    only and applies ``_candidate_cells`` there.
+    Returns the node coordinates us, vs, the cell size h, the median
+    |delta| of the coarse nodes (``scale``) and the candidate cells as
+    index pairs (i, j) in row-major order.
     """
     (u0, u1), (v0, v1) = chart.u_range, chart.v_range
-    hu, hv = (u1 - u0) / grid, (v1 - v0) / grid
+    h = hu, hv = (u1 - u0) / grid, (v1 - v0) / grid
     us = u0 + _GRID_SHIFT * hu + hu * np.arange(grid + 1)
     vs = v0 + _GRID_SHIFT * hv + hv * np.arange(grid + 1)
-    delta = np.empty((grid + 1, grid + 1), dtype=complex)
-    rows = max(1, _STRIP_NODES // (grid + 1))
-    for first in range(0, grid + 1, rows):
-        strip = us[first:first + rows]
-        partials = _partials(chart, *np.meshgrid(strip, vs, indexing="ij"), hu, hv)
-        _check_immersion(chart_index, strip, vs, partials)
-        delta[first:first + rows] = _delta(partials)
-    if chart.periodic_u:
-        delta[-1, :] = delta[0, :]
-    if chart.periodic_v:
-        delta[:, -1] = delta[:, 0]
-    return us, vs, (hu, hv), delta
+    ci, cj, _, scale, kept = _coarse_pass(chart, us, vs, h, chart_index, zero_rel)
+    *_, cells = _fine_pass(chart, us, vs, h, chart_index, ci, cj, kept, zero_rel * scale, scale)
+    return us, vs, h, scale, cells
 
 
-def _check_immersion(chart_index: int, us, vs, partials) -> None:
-    """Raise ``ImmersionFailure`` at the first node whose partials are
-    real-linearly dependent (relative Gram determinant below 1e-12).  A
-    square may overflow: a NaN Gram fails, an infinite one passes."""
+def _node_coordinates(chart: Chart, us, vs, i, j):
+    """The parameters of fine nodes (i, j); on a periodic axis the seam
+    index grid is node 0, so its delta is bitwise node 0's."""
+    grid = len(us) - 1
+    return us[i % grid if chart.periodic_u else i], vs[j % grid if chart.periodic_v else j]
+
+
+def _coarse_pass(chart: Chart, us, vs, h, chart_index: int, zero_rel: float):
+    """Delta on the coarse lattice of every ``_STRIDE``-th fine node (fine
+    indices ci x cj, the last row and column narrower when the stride does
+    not divide the grid), its median modulus ``scale``, and which coarse
+    cells are ``kept``, that is, not proved free of zeros.
+
+    Each coarse cell is sampled at its four corners and at its middle
+    fine node m, and cleared when |delta(m)| > L r + 1e-6 P, with
+    L = 2 max |grad delta| and P = 2 max |F_u| |F_v| over the five
+    samples and r the distance from m to the farthest corner (grad delta
+    from ``_samples``).  L r estimates how far delta can fall from m; it
+    is a bound only where delta varies on scales above the samples'
+    spacing.  The middle sample halves the distance from a point of the
+    cell to the nearest gradient sample, so a feature about two fine
+    cells wide anywhere in the cell raises L.  The P term keeps the
+    immersion check sound: by Lagrange's identity the Gram determinant of
+    the partials is Im<F_u, F_v>^2 + |delta|^2, so a node that fails the
+    check has |delta| < 1e-6 |F_u| |F_v|, and a cleared cell holds none.
+    A cell is kept when a sample is a near-zero or off-scale node of the
+    candidate rule, and when the test is nan or inf.
+    """
+    grid = len(us) - 1
+    ci = cj = np.append(np.arange(0, grid, _STRIDE), grid)
+    mi = mj = (ci[:-1] + ci[1:]) // 2
+    d, grad, span = _samples(chart, us, vs, h, chart_index, ci[:, None], cj[None, :])
+    dm, grad_m, span_m = _samples(chart, us, vs, h, chart_index, mi[:, None], mj[None, :])
+    modulus = np.abs(d)
+    scale = float(np.median(modulus))
+    zero_floor, factor = zero_rel * scale, _unit_factor(scale)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lipschitz = 2.0 * np.maximum(np.maximum.reduce(_corners(grad)), grad_m)
+        size = 2.0 * np.maximum(np.maximum.reduce(_corners(span)), span_m)
+        du = np.maximum(mi - ci[:-1], ci[1:] - mi)[:, None] * h[0]
+        dv = np.maximum(mj - cj[:-1], cj[1:] - mj)[None, :] * h[1]
+        kept = ~(np.abs(dm) > lipschitz * np.hypot(du, dv) + 1e-6 * size)
+        kept |= np.logical_or.reduce(_corners(_near_zero(modulus, zero_floor, factor)))
+        kept |= _near_zero(np.abs(dm), zero_floor, factor)
+    return ci, cj, d, scale, kept
+
+
+def _samples(chart: Chart, us, vs, h, chart_index: int, i, j):
+    """Delta, |grad delta| and |F_u| |F_v| at the fine nodes i x j (index
+    columns (m, 1) and rows (1, n)), the nodes checked for immersion.
+    grad delta is a difference of delta to the next fine node along u and
+    along v (the previous one at the rim of a chart that is not
+    periodic): it measures the gradient half a cell away, with O(h^2)
+    error like a central difference."""
+    grid = len(us) - 1
+    iu, su = _next_node(i, grid, chart.periodic_u)
+    jv, sv = _next_node(j, grid, chart.periodic_v)
+    # the nodes and their neighbours along u and along v, in one call
+    pairs = [np.broadcast_arrays(*_node_coordinates(chart, us, vs, *n)) for n in ((i, j), (iu, j), (i, jv))]
+    partials = _partials(chart, np.stack([u for u, _ in pairs]), np.stack([v for _, v in pairs]), *h)
+    d, d_u, d_v = _delta(partials)
+    zu, wu, zv, wv = at_nodes = [x[0] for x in partials]
+    if np.any(_immersion_fails(at_nodes)):
+        _raise_at_first_bad_node(chart, us, vs, h, chart_index)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grad = np.hypot(np.abs(d_u - d) / (su * h[0]), np.abs(d_v - d) / (sv * h[1]))
+        span = np.hypot(np.abs(zu), np.abs(wu)) * np.hypot(np.abs(zv), np.abs(wv))
+    return d, grad, span
+
+
+def _next_node(c, grid, periodic):
+    """The neighbour c + 1 of fine indices c (c - 1 at the rim of an axis
+    that is not periodic), and the signed step to it in cells."""
+    if periodic:
+        return c + 1, 1
+    last = c == grid
+    return np.where(last, c - 1, c + 1), np.where(last, -1, 1)
+
+
+def _fine_pass(chart: Chart, us, vs, h, chart_index: int, ci, cj, kept, zero_floor, scale):
+    """Delta on the fine nodes of the kept coarse cells, and the candidate
+    cells among their fine cells.
+
+    Each kept cell's (_STRIDE+1)^2 fine nodes form one block, its far
+    edge node repeated where the cell is narrower; the stacked blocks
+    are evaluated one strip of about ``_STRIP_NODES`` nodes at a time,
+    and each strip is checked for immersion and run through
+    ``_candidate_cells``, all its blocks at once.  Returns the blocks'
+    fine node indices iu, iv (one row per block), their delta and the
+    candidate cells (i, j) in row-major order.
+    """
+    a, b = np.nonzero(kept)
+    steps = np.arange(_STRIDE + 1)
+    iu = np.minimum(ci[a, None] + steps, ci[a + 1, None])
+    iv = np.minimum(cj[b, None] + steps, cj[b + 1, None])
+    bu, bv = _node_coordinates(chart, us, vs, iu, iv)
+    delta = np.empty((len(a), _STRIDE + 1, _STRIDE + 1), dtype=complex)
+    flagged = [np.empty((0, 3), dtype=np.intp)]  # (block, i, j) of each candidate
+    blocks = max(1, _STRIP_NODES // (_STRIDE + 1) ** 2)
+    for first in range(0, len(a), blocks):
+        u, v = np.broadcast_arrays(bu[first:first + blocks, :, None], bv[first:first + blocks, None, :])
+        partials = _partials(chart, u.copy(), v.copy(), *h)
+        if np.any(_immersion_fails(partials)):
+            _raise_at_first_bad_node(chart, us, vs, h, chart_index)
+        d = delta[first:first + blocks] = _delta(partials)
+        flagged.append(_candidate_cells(d, zero_floor, np.abs(d), scale) + (first, 0, 0))
+    k, i, j = np.concatenate(flagged).T
+    # a narrower cell's repeated nodes span empty cells
+    real = (iu[k, i] < iu[k, i + 1]) & (iv[k, j] < iv[k, j + 1])
+    i, j = iu[k, i][real], iv[k, j][real]
+    order = np.lexsort((j, i))
+    return iu, iv, delta, np.column_stack([i[order], j[order]])
+
+
+def _immersion_fails(partials):
+    """Where the partials are real-linearly dependent: relative Gram
+    determinant below 1e-12.  A square may overflow: a NaN Gram fails,
+    an infinite one passes."""
     zu, wu, zv, wv = partials
     with np.errstate(over="ignore", invalid="ignore"):
         na = np.abs(zu) ** 2 + np.abs(wu) ** 2
         nb = np.abs(zv) ** 2 + np.abs(wv) ** 2
         rp = (zu * np.conj(zv) + wu * np.conj(wv)).real
         gram = na * nb - rp * rp
-        bad = (na * nb == 0.0) | ~(gram >= 1e-12 * na * nb)
+        return (na * nb == 0.0) | ~(gram >= 1e-12 * na * nb)
+
+
+def _check_immersion(chart_index: int, us, vs, partials) -> None:
+    """Raise ``ImmersionFailure`` at the first node of the lattice us x vs
+    that ``_immersion_fails``."""
+    bad = _immersion_fails(partials)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise ImmersionFailure(
@@ -333,15 +460,45 @@ def _check_immersion(chart_index: int, us, vs, partials) -> None:
         )
 
 
-def _candidate_cells(delta, zero_floor, modulus, scale):
-    """Index pairs (i, j) of the cells that need a closer look, by the rule
-    ``_windings`` starts from on the same four corners: a cell left out
-    has four settled steps summing to zero, so refinement would judge it
-    winding 0 at once.  ``modulus`` is |delta| and ``scale`` its median.
+def _raise_at_first_bad_node(chart: Chart, us, vs, h, chart_index: int):
+    """The error path of the grid pass: check the whole node lattice, one
+    strip of rows at a time, so the failure names its first bad node in
+    row-major order whichever nodes the passes evaluated."""
+    rows = max(1, _STRIP_NODES // len(vs))
+    for first in range(0, len(us), rows):
+        strip = us[first:first + rows]
+        _check_immersion(chart_index, strip, vs, _partials(chart, *np.meshgrid(strip, vs, indexing="ij"), *h))
+    # reached only by a chart whose values depend on the shape of its arguments
+    raise ImmersionFailure(f"partial derivatives are real-linearly dependent in chart {chart_index}")
 
-    Each lattice edge from a to b is tested once, in real arithmetic: its
-    phase step exceeds pi/2 exactly when Re(b conj(a)) < 0.  A cell is
-    flagged when one of its four edges is unsettled, when the four turns
+
+def _corners(x):
+    """The four corners of every cell of a node array (..., m, n)."""
+    return x[..., :-1, :-1], x[..., 1:, :-1], x[..., :-1, 1:], x[..., 1:, 1:]
+
+
+def _unit_factor(scale: float) -> float:
+    """The power of two that brings scale into [1/2, 1)."""
+    return 2.0 ** min(-math.frexp(scale)[1], 1023)  # 2.0 ** 1024 overflows
+
+
+def _near_zero(modulus, zero_floor, factor):
+    """Nodes the candidate rule treats as near zero: below the floor, or
+    about 2^500 or more off the median (zero, infinite and nan included)."""
+    mf = modulus * factor
+    return (modulus < zero_floor) | ~((mf > 2.0**-500) & (mf < 2.0**500))
+
+
+def _candidate_cells(delta, zero_floor, modulus, scale):
+    """Index tuples of the cells of the node array delta (..., m, n) that
+    need a closer look, by the rule ``_windings`` starts from on the same
+    four corners: a cell left out has four settled steps summing to zero,
+    so refinement would judge it winding 0 at once.  ``modulus`` is
+    |delta| and ``scale`` the median modulus.
+
+    Each edge from a to b is tested once, in real arithmetic: its phase
+    step exceeds pi/2 exactly when Re(b conj(a)) < 0.  A cell is flagged
+    when one of its four edges is unsettled, when the four turns
     Im(b conj(a)) along its loop (i,j) -> (i+1,j) -> (i+1,j+1) -> (i,j+1)
     all have the same strict sign (four steps of at most pi/2 wind only
     as four steps of pi/2 in one direction), or when a corner is a
@@ -349,31 +506,24 @@ def _candidate_cells(delta, zero_floor, modulus, scale):
     brings scale into [1/2, 1); the multiply is exact.  A node about
     2^500 or more off the median, or zero, infinite or nan, is flagged
     like a near-zero node, so the products of the other nodes can neither
-    underflow nor overflow.  The cells are tested one strip of rows at a
-    time, like the lattice in ``_grid_delta``.
+    underflow nor overflow.
     """
-    factor = 2.0 ** min(-math.frexp(scale)[1], 1023)  # 2.0 ** 1024 overflows
-    flagged = np.empty((delta.shape[0] - 1, delta.shape[1] - 1), dtype=bool)
-    rows = max(1, _STRIP_NODES // delta.shape[1])
+    factor = _unit_factor(scale)
     # an off-scale node's products may be 0, inf or nan; its cells are
     # flagged whatever they are
     with np.errstate(invalid="ignore", over="ignore", under="ignore"):
-        for first in range(0, len(flagged), rows):
-            d = delta[first:first + rows + 1] * factor
-            # edge products along u, (i,j) -> (i+1,j), and along v, (i,j) -> (i,j+1)
-            pu, pv = d[1:] * d[:-1].conj(), d[:, 1:] * d[:, :-1].conj()
-            open_u, open_v = pu.real < 0, pv.real < 0
-            cells = open_u[:, :-1] | open_u[:, 1:] | open_v[:-1] | open_v[1:]
-            # turn signs; the loop runs the u edge at j+1 and the v edge at i backwards
-            sign_u = (pu.imag > 0).view(np.int8) - (pu.imag < 0).view(np.int8)
-            sign_v = (pv.imag > 0).view(np.int8) - (pv.imag < 0).view(np.int8)
-            cells |= np.abs(sign_u[:, :-1] + sign_v[1:] - sign_u[:, 1:] - sign_v[:-1]) == 4
-            m = modulus[first:first + rows + 1]
-            mf = m * factor
-            near = (m < zero_floor) | ~((mf > 2.0**-500) & (mf < 2.0**500))
-            cells |= near[:-1, :-1] | near[1:, :-1] | near[:-1, 1:] | near[1:, 1:]
-            flagged[first:first + rows] = cells
-    return np.argwhere(flagged)
+        d = delta * factor
+        # edge products along u, (i,j) -> (i+1,j), and along v, (i,j) -> (i,j+1)
+        pu = d[..., 1:, :] * d[..., :-1, :].conj()
+        pv = d[..., :, 1:] * d[..., :, :-1].conj()
+        open_u, open_v = pu.real < 0, pv.real < 0
+        cells = open_u[..., :, :-1] | open_u[..., :, 1:] | open_v[..., :-1, :] | open_v[..., 1:, :]
+        # turn signs; the loop runs the u edge at j+1 and the v edge at i backwards
+        sign_u = (pu.imag > 0).view(np.int8) - (pu.imag < 0).view(np.int8)
+        sign_v = (pv.imag > 0).view(np.int8) - (pv.imag < 0).view(np.int8)
+        cells |= np.abs(sign_u[..., :, :-1] + sign_v[..., 1:, :] - sign_u[..., :, 1:] - sign_v[..., :-1, :]) == 4
+        cells |= np.logical_or.reduce(_corners(_near_zero(modulus, zero_floor, factor)))
+    return np.argwhere(cells)
 
 
 def _windings(chart: Chart, rects, h) -> np.ndarray:
@@ -486,9 +636,9 @@ def _newton_polish(chart: Chart, u: float, v: float, cell: float, step: float, s
         _, d, du_, dv_ = _probe(chart, u, v, step)
         if abs(d) <= stop:
             break
-        # the power of two that brings max(|D_u|, |D_v|) into [1/2, 1): exact,
-        # and the 2x2 solve below neither underflows nor overflows
-        factor = 2.0 ** min(-math.frexp(max(abs(du_), abs(dv_)))[1], 1023)
+        # bring max(|D_u|, |D_v|) into [1/2, 1): exact, and the 2x2 solve
+        # below neither underflows nor overflows
+        factor = _unit_factor(max(abs(du_), abs(dv_)))
         d, du_, dv_ = d * factor, du_ * factor, dv_ * factor
         det = du_.real * dv_.imag - dv_.real * du_.imag
         if det == 0.0:
@@ -543,22 +693,27 @@ def find_complex_points(
     the detector that the chart owns, and reports location, winding
     index, sign (oriented surfaces), alpha and type.  Deterministic for
     fixed inputs.
+
+    The grid pass (``_grid_pass``) evaluates delta on a coarse lattice of
+    every 8th node first and on the fine nodes only of the coarse cells
+    that its exclusion test cannot clear; the median |delta| of the
+    coarse nodes sets the zero floor and Newton's stopping residual.  A
+    feature of delta narrower than about two cells can hide between the
+    coarse samples, and a pair of opposite zeros inside one cell winds 0;
+    neither is reported.
     """
     if grid < 8:
         raise ValueError("grid must be at least 8")
     reports: list[PointReport] = []
     for chart_index, chart in enumerate(surface.charts):
-        us, vs, h, delta = _grid_delta(chart, grid, chart_index)
-        modulus = np.abs(delta)
-        scale = float(np.median(modulus))
+        us, vs, h, scale, cells = _grid_pass(chart, grid, chart_index, tol.zero_rel)
         if scale == 0.0:
             raise UnresolvedCluster(
                 f"detector vanishes on half the grid of chart {chart_index}; "
                 "zeros are not isolated"
             )
-        zero_floor = tol.zero_rel * scale
         cell = min(h)
-        i, j = _candidate_cells(delta, zero_floor, modulus, scale).T
+        i, j = cells.T
         located = _localize(chart, np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]]), h, tol)
         stop = 1e-13 * scale
         if chart.d_du is not None and chart.d_dv is not None:

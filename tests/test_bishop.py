@@ -28,11 +28,14 @@ from realsurf.bishop import (
 from realsurf.bishop import (
     DEFAULT_TOLERANCES,
     _GRID_SHIFT,
+    _STRIDE,
     _STRIP_NODES,
     _candidate_cells,
     _check_immersion,
+    _coarse_pass,
     _delta,
-    _grid_delta,
+    _fine_pass,
+    _grid_pass,
     _partials,
     _windings,
 )
@@ -148,6 +151,15 @@ def test_builtin_lookup():
 def test_tolerances_reject_negative_and_nan(field, value):
     with pytest.raises(ValueError, match=field):
         Tolerances(**{field: value})
+
+
+@pytest.mark.parametrize("value", [2.5, True, math.inf, np.float64(3.0)])
+def test_tolerances_require_an_integer_max_refine(value):
+    # max_refine = inf used to refine a round-sphere pole until the detector
+    # vanished on a refinement boundary
+    with pytest.raises(TypeError, match="max_refine"):
+        Tolerances(max_refine=value)
+    assert Tolerances(max_refine=np.int64(3)).max_refine == 3
 
 
 def test_tolerances_hold_the_three_cli_settings():
@@ -520,6 +532,45 @@ def test_close_zeros_in_neighbouring_cells_are_both_reported(detector, windings)
     assert sorted(p.winding_index for p in points) == windings
 
 
+def _dip_zeros():
+    """The two roots t of t exp(-t^2) = 1/4, by bisection on either side of
+    the maximum at t = 1/sqrt(2)."""
+    roots = []
+    for lo, hi, rising in ((0.0, 0.5**0.5, True), (0.5**0.5, 3.0, False)):
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if (mid * math.exp(-mid * mid) < 0.25) == rising:
+                lo = mid
+            else:
+                hi = mid
+        roots.append(lo)
+    return roots
+
+
+@pytest.mark.parametrize("grid", [256, 512])
+def test_coarse_pass_resolves_a_dip_two_fine_cells_wide(grid):
+    # delta = 1 + 4 w exp(-|w|^2), w = (z - a) / sigma: a dip of width sigma
+    # = 2 fine cells (a quarter of a coarse cell) holding an elliptic and a
+    # hyperbolic zero 1.0 sigma apart, at w = -t for the roots t of
+    # t exp(-t^2) = 1/4; elsewhere delta is about 1, so the dip is all that
+    # keeps its coarse cells
+    sigma = 2 * (2.0 / grid)
+    rng = random.Random(grid)
+    for _ in range(20):
+        a = complex(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+
+        def dip(u, v, a=a):
+            w = (u + 1j * v - a) / sigma
+            return 1 + 4 * w * np.exp(-np.abs(w) ** 2)
+
+        surface = ParametrizedSurface("dip", (_detector_chart(dip),), True, False, None, None)
+        points = sorted(find_complex_points(surface, grid), key=lambda p: p.winding_index)
+        assert [p.winding_index for p in points] == [-1, 1]
+        near, far = _dip_zeros()
+        assert abs(complex(*points[1].location) - (a - near * sigma)) < 1e-9
+        assert abs(complex(*points[0].location) - (a - far * sigma)) < 1e-9
+
+
 @pytest.mark.parametrize(
     "surface, grid",
     [
@@ -528,21 +579,22 @@ def test_close_zeros_in_neighbouring_cells_are_both_reported(detector, windings)
         (graph_normal_form(2.0), 64),
         (wrinkled_sphere(0.503), 32),
         (wrinkled_sphere(0.8441278066920379), 256),
+        (wrinkled_sphere(0.6), 100),
+        (flat_torus(), 100),
     ],
-    ids=["wrinkled-0.6", "round", "graph-2", "wrinkled-0.503", "wrinkled-0.844"],
+    ids=["wrinkled-0.6", "round", "graph-2", "wrinkled-0.503", "wrinkled-0.844", "wrinkled-0.6-100", "torus-100"],
 )
 def test_candidate_cells_contain_every_winding_cell(surface, grid):
-    """The grid pass may only skip a cell whose boundary does not wind."""
-    for chart in surface.charts:
-        us, vs, h, delta = _grid_delta(chart, grid, 0)
-        modulus = np.abs(delta)
-        scale = float(np.median(modulus))
-        zero_floor = DEFAULT_TOLERANCES.zero_rel * scale
-        candidates = set(map(tuple, _candidate_cells(delta, zero_floor, modulus, scale).tolist()))
+    """The grid pass may only skip a cell whose boundary does not wind: its
+    candidates hold every cell of the whole lattice that winds (the coarse
+    pass included, and at grid 100, which the stride does not divide)."""
+    for index, chart in enumerate(surface.charts):
+        us, vs, h, _, cells = _grid_pass(chart, grid, index, DEFAULT_TOLERANCES.zero_rel)
+        candidates = set(map(tuple, cells.tolist()))
         i, j = np.indices((grid, grid)).reshape(2, -1)
         windings = _windings(chart, np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]]), h)
         winding_cells = set(zip(i[windings != 0].tolist(), j[windings != 0].tolist()))
-        assert winding_cells
+        assert bool(winding_cells) == (surface.label != "flat-torus")
         assert winding_cells <= candidates
 
 
@@ -583,7 +635,7 @@ def _angle_candidate_cells(delta, zero_floor):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_candidate_cells_match_the_angle_rule_on_noise(seed):
-    # raw and smoothed complex noise, up to several row strips tall
+    # raw and smoothed complex noise of random shape
     rng = np.random.default_rng(seed)
     m, n = rng.integers(2, 300, size=2)
     field = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
@@ -638,14 +690,22 @@ def test_immersion_check_fails_a_nan_gram_and_passes_an_infinite_one():
     ids=["wrinkled", "torus", "graph"],
 )
 def test_strip_lattice_equals_whole_lattice(surface, grid):
-    for chart in surface.charts:
-        us, vs, h, delta = _grid_delta(chart, grid, 0)
+    """Every node the coarse and fine passes evaluate, seam nodes of a
+    periodic chart included, has the bytes of the whole lattice's delta."""
+    zero_rel = DEFAULT_TOLERANCES.zero_rel
+    for index, chart in enumerate(surface.charts):
+        us, vs, h, scale, _ = _grid_pass(chart, grid, index, zero_rel)
         whole = _delta(_partials(chart, *np.meshgrid(us, vs, indexing="ij"), *h))
         if chart.periodic_u:
             whole[-1, :] = whole[0, :]
         if chart.periodic_v:
             whole[:, -1] = whole[:, 0]
-        assert delta.tobytes() == whole.tobytes()
+        ci, cj, coarse, _, kept = _coarse_pass(chart, us, vs, h, index, zero_rel)
+        assert coarse.tobytes() == whole[np.ix_(ci, cj)].tobytes()
+        # every coarse cell kept: the blocks then cover the whole lattice
+        iu, iv, blocks, _ = _fine_pass(chart, us, vs, h, index, ci, cj, np.ones_like(kept), zero_rel * scale, scale)
+        assert blocks.tobytes() == whole[iu[:, :, None], iv[:, None, :]].tobytes()
+        assert sorted(set(iu.ravel().tolist())) == list(range(grid + 1))
 
 
 def test_immersion_failure_past_the_first_strip_names_the_first_bad_node():
@@ -671,6 +731,31 @@ def test_immersion_failure_past_the_first_strip_names_the_first_bad_node():
     with pytest.raises(ImmersionFailure) as strips:
         find_complex_points(surface, grid)
     assert str(strips.value) == str(whole.value)
+
+
+def test_immersion_failure_between_coarse_samples_is_found():
+    # F_u = (1, 0), F_v = (i (u - a_u), z - a) vanishes at the fine node a
+    # alone (node (21, 37) of grid 64, neither a coarse node nor a middle
+    # one); the Gram determinant (u - a_u)^2 + |z - a|^2 is small only near
+    # it, so its coarse cell is kept and the fine pass meets the node
+    grid = 64
+    us = -1.0 + _GRID_SHIFT * (2.0 / grid) + (2.0 / grid) * np.arange(grid + 1)
+    a = complex(us[21], us[37])
+    assert 21 % _STRIDE not in (0, _STRIDE // 2) and 37 % _STRIDE not in (0, _STRIDE // 2)
+
+    def ev(u, v):
+        return u + 1j * v, 0j * u
+
+    def d_du(u, v):
+        return 1.0 + 0j * u, 0j * u
+
+    def d_dv(u, v):
+        return 1j * (u - a.real) + 0j, u + 1j * v - a
+
+    chart = Chart(ev, (-1.0, 1.0), (-1.0, 1.0), False, False, d_du, d_dv)
+    surface = ParametrizedSurface("pinched", (chart,), True, False, None, None)
+    with pytest.raises(ImmersionFailure, match=f"parameter \\({us[21]:.6g}, {us[37]:.6g}\\)"):
+        find_complex_points(surface, grid)
 
 
 def test_scan_is_deterministic():
