@@ -11,8 +11,9 @@ vanishes (the two partials become complex-linearly dependent), so
 detection is zero-finding for delta: a coarse-to-fine grid pass (delta
 on every 8th node of the grid, a Lipschitz exclusion test per coarse
 cell, and the fine nodes only in the coarse cells it cannot clear),
-winding-number tests on the fine cells left, quadtree refinement, and a
-Newton polish.
+winding-number tests on the fine cells left, and quadtree refinement
+that lets a box winding +-1 go once a uniqueness test and a batched
+Newton polish settle it.
 
 At each zero the detector is linearized in the tangent-line coordinate
 z = <F - F(0), t>, t the unit complex tangent direction:
@@ -117,7 +118,7 @@ class PointType(enum.Enum):
 class Tolerances:
     zero_rel: float = 1e-9        # relative floor below which a modulus counts as zero
     parabolic_band: float = 1e-6  # |alpha - 1| within the band reports parabolic
-    max_refine: int = 12          # quadtree depth per candidate cell
+    max_refine: int = 12          # deepest quadtree level a candidate cell's boxes may reach
 
     def __post_init__(self):
         for name in ("zero_rel", "parabolic_band", "max_refine"):
@@ -477,9 +478,9 @@ def _corners(x):
     return x[..., :-1, :-1], x[..., 1:, :-1], x[..., :-1, 1:], x[..., 1:, 1:]
 
 
-def _unit_factor(scale: float) -> float:
-    """The power of two that brings scale into [1/2, 1)."""
-    return 2.0 ** min(-math.frexp(scale)[1], 1023)  # 2.0 ** 1024 overflows
+def _unit_factor(scale):
+    """The power of two that brings scale (float or array) into [1/2, 1)."""
+    return np.ldexp(1.0, np.minimum(-np.frexp(scale)[1], 1023))  # 2.0 ** 1024 overflows
 
 
 def _near_zero(modulus, zero_floor, factor):
@@ -575,16 +576,28 @@ def _windings(chart: Chart, rects, h) -> np.ndarray:
 _SPLIT = 0.511716
 
 
-def _localize(chart: Chart, rects, h, tol: Tolerances) -> list[tuple[float, float, int]]:
-    """Quadtree descent separating the zeros inside the candidate cells
-    (rows ua, ub, va, vb), one level at a time over every live cell.
-    Returns the centre and winding of each separated zero's cell."""
+def _localize(chart: Chart, rects, h, tol: Tolerances, step: float, stop: float):
+    """Quadtree descent to the zeros inside the candidate cells (rows
+    ua, ub, va, vb), one level at a time over every live box, and their
+    Newton polish.  A box winding 0 is dropped; one winding +-1 leaves
+    when it passes ``_unique`` and ``_newton`` from its centre stays in
+    it; any other box is split.  At depth ``max_refine`` a box winding
+    +-1 is polished unconfined, and one winding more raises
+    ``UnresolvedCluster``.  Returns arrays u, v and windings."""
+    cell = min(h)
+    located = []
     windings = _windings(chart, rects, h)
-    depth = 0
-    while True:
+    for depth in range(tol.max_refine + 1):
         live = windings != 0  # winding judged zero at the finer look: false positive
         rects, windings = rects[live], windings[live]
-        if depth >= tol.max_refine or not len(rects):
+        simple = np.flatnonzero(np.abs(windings) == 1)
+        simple = simple[_unique(chart, rects[simple], step)]
+        boxes = rects[simple]
+        u, v, inside = _newton(chart, *_centres(boxes), cell, step, stop, boxes)
+        settled = simple[inside]
+        located.append((u[inside], v[inside], windings[settled]))
+        rects, windings = np.delete(rects, settled, axis=0), np.delete(windings, settled)
+        if depth == tol.max_refine or not len(rects):
             break
         ua, ub, va, vb = rects.T
         um, vm = ua + _SPLIT * (ub - ua), va + _SPLIT * (vb - va)
@@ -593,15 +606,16 @@ def _localize(chart: Chart, rects, h, tol: Tolerances) -> list[tuple[float, floa
             for child in ((ua, um, va, vm), (um, ub, va, vm), (ua, um, vm, vb), (um, ub, vm, vb))
         ])
         windings = _windings(chart, rects, h)
-        depth += 1
-    cu, cv = (rects[:, 0] + rects[:, 1]) / 2, (rects[:, 2] + rects[:, 3]) / 2
+    cu, cv = _centres(rects)
     for u, v, w in zip(cu, cv, windings):
         if abs(w) != 1:
             raise UnresolvedCluster(
                 f"winding {w} not separated into simple zeros at depth {tol.max_refine} "
                 f"near ({u:.6g}, {v:.6g})"
             )
-    return list(zip(cu.tolist(), cv.tolist(), windings.tolist()))
+    u, v, _ = _newton(chart, cu, cv, cell, step, stop)
+    located.append((u, v, windings))
+    return tuple(np.concatenate(x) for x in zip(*located))
 
 
 # Newton iterations per located zero
@@ -614,46 +628,88 @@ _PROBE = np.array([[0, 1, -1, 0, 0], [0, 0, 0, 1, -1]])
 # unit scale.  The wrinkled sphere's alpha measured best at 5e-5; a step tied
 # to the cell (1e-3 of it) sat deep in the rounding regime on fine grids.
 _FD_PROBE_STEP = 5e-5
+# share of sigma_min(J) the corner Jacobians may differ by in ``_unique``:
+# the theorem needs a share below 1 all over the box, which is sampled at
+# five points only
+_UNIQUE = 0.5
 # the index an oriented surface's point of each generic type must have
 _INDEX = {PointType.ELLIPTIC: 1, PointType.HYPERBOLIC: -1}
 
 
-def _probe(chart: Chart, u: float, v: float, step: float):
-    """The partials at (u, v) and at its four neighbours a probe step away,
-    in one call (a chart without analytic partials gets central
-    differences of that same step), and from them delta at (u, v) and its
-    partials D_u, D_v."""
-    partials = _partials(chart, u + step * _PROBE[0], v + step * _PROBE[1], step, step)
-    d, up, um, vp, vm = _delta(partials).tolist()
-    return partials, d, (up - um) / (2 * step), (vp - vm) / (2 * step)
+def _centres(rects):
+    """The centres u, v of rectangles (rows ua, ub, va, vb)."""
+    return (rects[:, 0] + rects[:, 1]) / 2, (rects[:, 2] + rects[:, 3]) / 2
 
 
-def _newton_polish(chart: Chart, u: float, v: float, cell: float, step: float, stop: float):
-    """Drive delta to zero with damped 2x2 Newton steps; falls back to the
-    quadtree location if the iteration wanders."""
+def _probe(chart: Chart, u, v, step: float):
+    """The partials at points u, v (arrays) and at their four neighbours a
+    probe step away, in one call, the stencil on a last axis (a chart
+    without analytic partials gets central differences of that step);
+    and delta at the points and its partials D_u, D_v."""
+    partials = _partials(chart, u[..., None] + step * _PROBE[0], v[..., None] + step * _PROBE[1], step, step)
+    d = _delta(partials)
+    return partials, d[..., 0], (d[..., 1] - d[..., 2]) / (2 * step), (d[..., 3] - d[..., 4]) / (2 * step)
+
+
+def _unique(chart: Chart, rects, step: float):
+    """Which rectangles (rows ua, ub, va, vb) pass the uniqueness test:
+    ||D delta - J||_F < ``_UNIQUE`` sigma_min(J) at the four corners, J
+    the real 2x2 Jacobian of delta at the centre.  Were it below
+    sigma_min(J) all over the rectangle, delta would be injective there
+    and a winding of +-1 would mean one zero; five samples make it an
+    estimate.  The Jacobians are rescaled as in ``_newton``."""
+    if not len(rects):
+        return np.zeros(0, dtype=bool)
+    ua, ub, va, vb = rects.T
+    cu, cv = _centres(rects)
+    _, _, du, dv = _probe(chart, np.column_stack([cu, ua, ub, ub, ua]), np.column_stack([cv, va, va, vb, vb]), step)
+    with np.errstate(all="ignore"):
+        factor = _unit_factor(np.maximum(np.abs(du[:, :1]), np.abs(dv[:, :1])))
+        du, dv = du * factor, dv * factor
+        ju, jv = du[:, :1], dv[:, :1]
+        # sigma_max +- sigma_min = sqrt(|J|_F^2 +- 2 |det J|)
+        frob2 = np.abs(ju) ** 2 + np.abs(jv) ** 2
+        det = np.abs(ju.real * jv.imag - jv.real * ju.imag)
+        sigma_min = 2 * det / (np.sqrt(frob2 + 2 * det) + np.sqrt(np.maximum(frob2 - 2 * det, 0.0)))
+        return np.all(np.hypot(np.abs(du - ju), np.abs(dv - jv)) < _UNIQUE * sigma_min, axis=1)
+
+
+def _newton(chart: Chart, u, v, cell: float, step: float, stop: float, rects=None):
+    """Damped 2x2 Newton steps on delta from points u, v (arrays), one
+    probe call per step.  A point stops at |delta| <= stop, at a singular
+    Jacobian or at a step below 1e-15.  With ``rects`` (rows ua, ub, va,
+    vb) a point that leaves its rectangle stops, and the returned mask is
+    False for it; without, a point that strays more than 2 cells from its
+    start falls back to the start, and stops."""
     u0, v0 = u, v
+    done = np.zeros(len(u), dtype=bool)
+    inside = ~done
     for _ in range(_NEWTON_STEPS):
+        if done.all():
+            break
         _, d, du_, dv_ = _probe(chart, u, v, step)
-        if abs(d) <= stop:
-            break
-        # bring max(|D_u|, |D_v|) into [1/2, 1): exact, and the 2x2 solve
-        # below neither underflows nor overflows
-        factor = _unit_factor(max(abs(du_), abs(dv_)))
-        d, du_, dv_ = d * factor, du_ * factor, dv_ * factor
-        det = du_.real * dv_.imag - dv_.real * du_.imag
-        if det == 0.0:
-            break
-        su = (-d.real * dv_.imag + dv_.real * d.imag) / det
-        sv = (-du_.real * d.imag + d.real * du_.imag) / det
-        norm = math.hypot(su, sv)
-        if norm > cell:
-            su, sv = su * cell / norm, sv * cell / norm
-        u, v = u + su, v + sv
-        if math.hypot(u - u0, v - v0) > 2 * cell:
-            return u0, v0
-        if norm < 1e-15:
-            break
-    return u, v
+        with np.errstate(all="ignore"):
+            done |= np.abs(d) <= stop
+            # bring max(|D_u|, |D_v|) into [1/2, 1): exact, and the 2x2
+            # solve below neither underflows nor overflows
+            factor = _unit_factor(np.maximum(np.abs(du_), np.abs(dv_)))
+            d, du_, dv_ = d * factor, du_ * factor, dv_ * factor
+            det = du_.real * dv_.imag - dv_.real * du_.imag
+            done |= det == 0.0
+            su = (dv_.real * d.imag - d.real * dv_.imag) / det
+            sv = (d.real * du_.imag - du_.real * d.imag) / det
+            norm = np.hypot(su, sv)
+            damp = cell / np.maximum(norm, cell)  # at most one cell per step
+            u, v = np.where(done, u, u + su * damp), np.where(done, v, v + sv * damp)
+        if rects is None:
+            strayed = np.hypot(u - u0, v - v0) > 2 * cell
+            u, v = np.where(strayed, u0, u), np.where(strayed, v0, v)
+        else:
+            ua, ub, va, vb = rects.T
+            strayed = ~((ua <= u) & (u <= ub) & (va <= v) & (v <= vb))
+            inside &= ~strayed
+        done |= strayed | (norm < 1e-15)
+    return u, v, inside
 
 
 def _sign_and_jet(partials, du: complex, dv: complex) -> tuple[int, Jet2]:
@@ -676,7 +732,7 @@ def _sign_and_jet(partials, du: complex, dv: complex) -> tuple[int, Jet2]:
     return (1 if B.imag > 0 else -1), Jet2(0j, 0.5j * p, 0.25j * q)
 
 
-def _wrap_into(x: float, lo: float, hi: float, periodic: bool) -> float:
+def _wrap_into(x, lo: float, hi: float, periodic: bool):
     if not periodic:
         return x
     return lo + (x - lo) % (hi - lo)
@@ -701,7 +757,14 @@ def find_complex_points(
     feature of delta narrower than about two cells can hide between the
     coarse samples, and a pair of opposite zeros inside one cell winds 0;
     neither is reported.
+
+    ``_localize`` lets a box winding +-1 leave the quadtree at the first
+    level where it is settled, at most ``tol.max_refine`` deep.  ``grid``
+    must be an integer of at least 8.
     """
+    # a node count: a Python or numpy integer, not a bool
+    if isinstance(grid, bool) or not isinstance(grid, numbers.Integral):
+        raise TypeError(f"grid must be an integer, got {grid!r}")
     if grid < 8:
         raise ValueError("grid must be at least 8")
     reports: list[PointReport] = []
@@ -713,21 +776,26 @@ def find_complex_points(
                 "zeros are not isolated"
             )
         cell = min(h)
-        i, j = cells.T
-        located = _localize(chart, np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]]), h, tol)
-        stop = 1e-13 * scale
         if chart.d_du is not None and chart.d_dv is not None:
             step = max(cell * 1e-3, 1e-12)
         else:
             step = min(_FD_PROBE_STEP, 0.1 * cell)
-        for u, v, winding in located:
-            u, v = _newton_polish(chart, u, v, cell, step, stop)
-            u = _wrap_into(u, *chart.u_range, chart.periodic_u)
-            v = _wrap_into(v, *chart.v_range, chart.periodic_v)
-            if chart.owns is not None and not chart.owns(u, v):
-                continue
-            partials, _, du, dv = _probe(chart, u, v, step)
-            sign, jet = _sign_and_jet(partials, du, dv)
+        i, j = cells.T
+        rects = np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]])
+        u, v, windings = _localize(chart, rects, h, tol, step, 1e-13 * scale)
+        u = _wrap_into(u, *chart.u_range, chart.periodic_u)
+        v = _wrap_into(v, *chart.v_range, chart.periodic_v)
+        if chart.owns is not None:
+            owned = np.array([chart.owns(a, b) for a, b in zip(u.tolist(), v.tolist())], dtype=bool)
+            u, v, windings = u[owned], v[owned], windings[owned]
+        if not len(u):
+            continue
+        # the sign and jet of every owned point from one probe call, and
+        # their positions from one evaluation
+        partials, _, du, dv = _probe(chart, u, v, step)
+        z, w = _as_complex_pair(chart.evaluate(u, v))
+        for k, (uk, vk, winding) in enumerate(zip(u.tolist(), v.tolist(), windings.tolist())):
+            sign, jet = _sign_and_jet([x[k] for x in partials], complex(du[k]), complex(dv[k]))
             alpha = bishop_alpha(jet, tol.zero_rel)
             ptype = classify(alpha, tol.parabolic_band)
             if not surface.orientable:
@@ -737,15 +805,13 @@ def find_complex_points(
                 if ptype in _INDEX and index != _INDEX[ptype]:
                     raise UnresolvedCluster(
                         f"{ptype.value} point with index {index:+d} at chart {chart_index} "
-                        f"parameter ({u:.6g}, {v:.6g}); its cell holds more than one zero"
+                        f"parameter ({uk:.6g}, {vk:.6g}); its cell holds more than one zero"
                     )
-            z, w = _as_complex_pair(chart.evaluate(np.array([u]), np.array([v])))
-            position = (complex(z[0]), complex(w[0]))
             reports.append(
                 PointReport(
                     chart=chart_index,
-                    location=(u, v),
-                    position=position,
+                    location=(uk, vk),
+                    position=(complex(z[k]), complex(w[k])),
                     winding_index=index,
                     sign=sign,
                     alpha=alpha,

@@ -36,6 +36,7 @@ from realsurf.bishop import (
     _delta,
     _fine_pass,
     _grid_pass,
+    _newton,
     _partials,
     _windings,
 )
@@ -532,6 +533,56 @@ def test_close_zeros_in_neighbouring_cells_are_both_reported(detector, windings)
     assert sorted(p.winding_index for p in points) == windings
 
 
+def _cluster_in_one_cell(seed):
+    """Three zeros at least 0.2 cells apart inside one cell of the shifted
+    grid 64 over [-1, 1], placed by the seed."""
+    rng = random.Random(seed)
+    h = 2.0 / 64
+    i, j = rng.randint(10, 50), rng.randint(10, 50)
+    corner = complex(-1 + (_GRID_SHIFT + i) * h, -1 + (_GRID_SHIFT + j) * h)
+    zeros = []
+    while len(zeros) < 3:
+        z = corner + complex(rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9)) * h
+        if all(abs(z - w) >= 0.2 * h for w in zeros):
+            zeros.append(z)
+    return zeros
+
+
+@pytest.mark.parametrize("seed", [3, 8, 13, 14])
+def test_cluster_cell_is_refined_until_its_zeros_separate(seed):
+    # delta = (z - a)(z - b) conj(z - c): the cell winds +1 + 1 - 1 = +1
+    # but holds three zeros, so the uniqueness test must refuse it and its
+    # boxes descend until each holds one
+    a, b, c = _cluster_in_one_cell(seed)
+    chart = _detector_chart(lambda u, v: (u + 1j * v - a) * (u + 1j * v - b) * np.conj(u + 1j * v - c))
+    points = find_complex_points(ParametrizedSurface("cluster", (chart,), True, False, None, None), 64)
+    assert len(points) == 3
+    for zero, winding in ((a, 1), (b, 1), (c, -1)):
+        (p,) = [p for p in points if abs(complex(*p.location) - zero) < 1e-9]
+        assert p.winding_index == winding
+
+
+def test_refinement_stops_at_the_first_settled_level():
+    # every box of this survey settles at depth 0; descending all of them
+    # to max_refine took 200 calls of d_du
+    calls = 0
+
+    def counted(f):
+        def wrapped(u, v):
+            nonlocal calls
+            calls += 1
+            return f(u, v)
+
+        return wrapped
+
+    surface = wrinkled_sphere(0.6)
+    surface = dataclasses.replace(
+        surface, charts=tuple(dataclasses.replace(c, d_du=counted(c.d_du)) for c in surface.charts)
+    )
+    assert len(find_complex_points(surface, 512)) == 6
+    assert calls <= 50
+
+
 def _dip_zeros():
     """The two roots t of t exp(-t^2) = 1/4, by bisection on either side of
     the maximum at t = 1/sqrt(2)."""
@@ -672,6 +723,49 @@ def test_huge_detector_is_scanned_like_a_unit_one():
     _assert_scanned_like_a_unit_detector(1e170)
 
 
+def _newton_reference(chart, u, v, cell, step, stop):
+    """Damped Newton on delta from one point, a scalar loop: the reference
+    for the batched ``_newton`` without rectangles."""
+    u0, v0 = u, v
+    for _ in range(30):
+        partials = _partials(chart, u + step * np.array([0, 1, -1, 0, 0]), v + step * np.array([0, 0, 0, 1, -1]),
+                             step, step)
+        d, up, um, vp, vm = _delta(partials).tolist()
+        du, dv = (up - um) / (2 * step), (vp - vm) / (2 * step)
+        if abs(d) <= stop:
+            break
+        factor = 2.0 ** min(-math.frexp(max(abs(du), abs(dv)))[1], 1023)
+        d, du, dv = d * factor, du * factor, dv * factor
+        det = du.real * dv.imag - dv.real * du.imag
+        if det == 0.0:
+            break
+        su = (-d.real * dv.imag + dv.real * d.imag) / det
+        sv = (-du.real * d.imag + d.real * du.imag) / det
+        norm = math.hypot(su, sv)
+        if norm > cell:
+            su, sv = su * cell / norm, sv * cell / norm
+        u, v = u + su, v + sv
+        if math.hypot(u - u0, v - v0) > 2 * cell:
+            return u0, v0
+        if norm < 1e-15:
+            break
+    return u, v
+
+
+def test_batched_newton_matches_the_scalar_loop():
+    # starts a fraction of a cell off the three complex points of the
+    # north chart, and one with no zero within 2 cells, which falls back
+    chart = wrinkled_sphere(0.6).charts[0]
+    cell = 2.3 / 64
+    starts = [(-0.3015 + 0.3 * cell, -0.2 * cell), (0.4 * cell, 0.1 * cell), (0.3015, 0.45 * cell), (0.7, 0.7)]
+    u, v, inside = _newton(chart, *map(np.array, zip(*starts)), cell, 1e-3 * cell, 1e-13)
+    assert inside.all()
+    for k, (u0, v0) in enumerate(starts):
+        ref = _newton_reference(chart, u0, v0, cell, 1e-3 * cell, 1e-13)
+        assert abs(complex(u[k], v[k]) - complex(*ref)) < 1e-15
+    assert (u[3], v[3]) == starts[3]
+
+
 def test_immersion_check_fails_a_nan_gram_and_passes_an_infinite_one():
     us = np.array([0.0])
     one, big = np.ones((1, 1), dtype=complex), np.full((1, 1), 1e170 + 0j)
@@ -767,3 +861,10 @@ def test_scan_is_deterministic():
 def test_grid_validation():
     with pytest.raises(ValueError):
         find_complex_points(flat_torus(), 4)
+    # a node count: 64.5 would scan 66 nodes, the last past the chart's edge
+    for grid in (64.5, 100.0, True, "64"):
+        with pytest.raises(TypeError, match="grid must be an integer"):
+            find_complex_points(round_sphere(), grid)
+    with pytest.raises(TypeError, match="grid must be an integer"):
+        survey(wrinkled_sphere(0.6), 100.7)
+    assert find_complex_points(round_sphere(), np.int64(64)) == find_complex_points(round_sphere(), 64)

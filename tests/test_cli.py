@@ -190,7 +190,8 @@ def test_query_output_is_pinned(capsys, name, fmt, ext):
     assert out == (DATA / f"{name}.{ext}").read_text(encoding="utf-8")
 
 
-# the exact bytes of two scans: the grid pass may get faster, not different
+# the exact bytes of two scans: a change that moves them on purpose
+# regenerates both formats and says why in CHANGES.md
 PINNED_SCANS = {
     "bishop-scan-wrinkled-sphere-grid-256": ["bishop", "scan", "--surface", "wrinkled-sphere", "--grid", "256"],
     "bishop-scan-round-sphere-grid-512": ["bishop", "scan", "--surface", "round-sphere", "--grid", "512"],
