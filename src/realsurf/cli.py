@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import json
 import math
 import re
 import sys
@@ -70,8 +69,7 @@ def _emit_text(obj, stream, indent=0):
 def _emit(payload, fmt, stream=None):
     stream = stream or sys.stdout
     if fmt == "json":
-        json.dump(payload, stream, indent=2)
-        stream.write("\n")
+        stream.write(constructions._dumps_indented(payload) + "\n")
     else:
         _emit_text(payload, stream)
 

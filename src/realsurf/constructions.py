@@ -40,12 +40,11 @@ from dataclasses import dataclass
 from .ambient import AmbientSurface, Check, by_name
 from .embedded import (
     SurfaceClass,
+    _predicates,
+    _realizable,
     connected_sum,
     invariant_report,
-    massey_set,
     resolve_union,
-    stein_basis_possible,
-    totally_real_possible,
 )
 
 __all__ = [
@@ -188,7 +187,7 @@ class Certificate:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return _dumps_indented(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
@@ -205,7 +204,7 @@ class Certificate:
     def from_json(cls, text: str) -> "Certificate":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise MalformedCertificate(f"certificate is not valid JSON: {exc}") from None
         return cls.from_dict(data)
 
@@ -248,6 +247,59 @@ def _read(data: dict, key: str, kind, default=_REQUIRED, where: str = ""):
         raise MalformedCertificate(f"certificate is missing the field {path}")
     name = f"array of {_JSON_TYPES[kind[0]]}s" if type(kind) is list else _JSON_TYPES[kind]
     raise MalformedCertificate(f"{path} must be a JSON {name}, got {value!r}")
+
+
+_encode_str = json.encoder.encode_basestring_ascii  # the standard library's C escaper
+_INFINITY = float("inf")
+
+
+def _json_float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# leaf type -> its JSON spelling as json.dumps writes it
+_JSON_LEAVES = {
+    str: _encode_str, int: int.__repr__, float: _json_float,
+    bool: lambda b: "true" if b else "false", type(None): lambda _: "null",
+}
+
+
+def _dumps_indented(obj, pad: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` byte for byte, with tuples as lists.
+    The standard encoder indents in pure Python; here containers are
+    joined strings and leaves take the C routines.  ``pad`` is the
+    newline and indentation that close ``obj``."""
+    leaf = _JSON_LEAVES.get(type(obj))
+    if leaf is not None:
+        return leaf(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_json_key(k) + ": " + _dumps_indented(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        kinds = set(map(type, obj))
+        leaf = _JSON_LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
+        items = map(leaf, obj) if leaf else [_dumps_indented(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(obj)  # a subclass of a leaf type; anything else raises TypeError
+
+
+def _json_key(key) -> str:
+    if isinstance(key, str):
+        return _encode_str(key)
+    if isinstance(key, (int, float)) or key is None:  # bool is an int
+        return _encode_str(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _fields(obj) -> dict:
@@ -328,7 +380,7 @@ def _replay(ambient: AmbientSurface, steps: tuple[Step, ...]):
                                   0, step.normal_euler)
                 else:
                     check = Check(f"{tag}: chart normal euler number is realizable",
-                                  True, step.normal_euler in massey_set(step.chi))
+                                  True, _realizable(step.chi, step.normal_euler))
                 checks.append(check)
                 registry.append(
                     SurfaceClass(ambient, step.orientable, step.chi, None, step.normal_euler)
@@ -338,13 +390,13 @@ def _replay(ambient: AmbientSurface, steps: tuple[Step, ...]):
                     raise MalformedCertificate(
                         f"{tag}: {ambient.label} has no named class {step.name!r}"
                     )
-                h = ambient.named[step.name]
-                expected_chi = 2 if ambient.pair(h, h) != 0 else 0
+                # the surface's normal euler number is the square h.h
+                surface = SurfaceClass(ambient, True, step.chi, ambient.named[step.name], None)
                 checks.append(
                     Check(f"{tag}: named class {step.name!r} has its catalog euler characteristic",
-                          expected_chi, step.chi)
+                          2 if surface.normal_euler != 0 else 0, step.chi)
                 )
-                registry.append(SurfaceClass(ambient, True, step.chi, h, None))
+                registry.append(surface)
             elif isinstance(step, Resolve):
                 parts = _take(registry, step.parts, tag)
                 registry.append(resolve_union(parts, step.crossings))
@@ -420,14 +472,14 @@ def _claims_for(final: SurfaceClass, disc_bundle: DiscBundle | None = None) -> C
     """Every claim the replayed surface supports; the predicates are None
     where I+- is undefined (an oriented surface without a class)."""
     report = invariant_report(final)
-    defined = not final.orientable or report.i_plus is not None
+    stein = real = None
+    if not final.orientable or report.i_plus is not None:
+        stein, real = _predicates(final.orientable, report.i_total, report.i_plus,
+                                  report.i_minus)
     return Claims(
         final.orientable, final.euler_char, final.normal_euler,
         None if final.hclass is None else final.hclass.coeffs,
-        report.i_total, report.i_plus, report.i_minus,
-        stein_basis_possible(final) if defined else None,
-        totally_real_possible(final) if defined else None,
-        disc_bundle,
+        report.i_total, report.i_plus, report.i_minus, stein, real, disc_bundle,
     )
 
 
@@ -494,7 +546,7 @@ def totally_real_nonorientable(chi: int, ambient_kind: str = "k3-blow-up") -> Ce
         )
     chart_count, spheres = entry
     nu = chart_count - chi
-    assert nu in massey_set(chi), "chart dispatch left the realizable range"
+    assert _realizable(chi, nu), "chart dispatch left the realizable range"
     cert = _finish(recipe, _chart_sum(chi, nu, spheres))
     assert cert.claimed.i_total == 0
     return cert
@@ -529,12 +581,9 @@ def stein_disc_bundle(g: int, n: int) -> Certificate:
 
 def _minimal_shift(chi: int, n: int, lower: int) -> int:
     """Smallest m >= lower with n + m in massey_set(chi)."""
-    values = massey_set(chi)
-    residue = values[0] % 4
-    m = lower + (residue - n - lower) % 4
-    while n + m < values[0]:
-        m += 4
-    if n + m > values[-1]:
+    least = 2 * chi - 4  # the least value, and every value's residue mod 4
+    m = max(lower + (least - n - lower) % 4, least - n)
+    if not _realizable(chi, n + m):
         raise AssertionError("no realizable chart normal euler number; feasibility bug")
     return m
 

@@ -185,14 +185,24 @@ def resolve_union(parts: list[SurfaceClass], crossings: int) -> SurfaceClass:
     return SurfaceClass(ambient, True, chi, total, None)
 
 
+def _check_nonorientable_chi(chi: int) -> None:
+    if chi > 1:
+        raise ValueError(f"nonorientable surfaces have chi <= 1, got {chi}")
+
+
 def massey_set(chi: int) -> list[int]:
     """Realizable normal Euler numbers of a chart embedding of a closed
     nonorientable surface with the given chi: 2 chi - 4 up to 4 - 2 chi
     in steps of 4.
     """
-    if chi > 1:
-        raise ValueError(f"nonorientable surfaces have chi <= 1, got {chi}")
+    _check_nonorientable_chi(chi)
     return list(range(2 * chi - 4, 4 - 2 * chi + 1, 4))
+
+
+def _realizable(chi: int, normal_euler: int) -> bool:
+    """``normal_euler in massey_set(chi)`` in O(1), without the list."""
+    _check_nonorientable_chi(chi)
+    return 2 * chi - 4 <= normal_euler <= 4 - 2 * chi and (normal_euler - 2 * chi) % 4 == 0
 
 
 def admissible_I(chi: int) -> list[int]:
@@ -200,18 +210,26 @@ def admissible_I(chi: int) -> list[int]:
     return [chi + nu for nu in massey_set(chi)]
 
 
+def _predicates(orientable: bool, count: int, plus: int | None,
+                minus: int | None) -> tuple[bool, bool]:
+    """(Stein basis possible, totally real possible) from the counts I,
+    I+ and I-: an oriented surface reads I+ and I-, a nonorientable one
+    I.  The first needs them all <= 0, the second all = 0."""
+    counts = (plus, minus) if orientable else (count,)
+    return all(c <= 0 for c in counts), all(c == 0 for c in counts)
+
+
+def _signed_counts(s: SurfaceClass) -> tuple[int | None, int | None]:
+    return i_pm(s) if s.orientable else (None, None)
+
+
 def stein_basis_possible(s: SurfaceClass) -> bool:
     """Whether some isotopy of S admits a regular Stein neighborhood basis:
     I+ <= 0 and I- <= 0 for oriented S, I <= 0 otherwise.
     """
-    if s.orientable:
-        plus, minus = i_pm(s)
-        return plus <= 0 and minus <= 0
-    return i_total(s) <= 0
+    return _predicates(s.orientable, i_total(s), *_signed_counts(s))[0]
 
 
 def totally_real_possible(s: SurfaceClass) -> bool:
     """Whether some isotopy of S is totally real: the counts vanish."""
-    if s.orientable:
-        return i_pm(s) == (0, 0)
-    return i_total(s) == 0
+    return _predicates(s.orientable, i_total(s), *_signed_counts(s))[1]

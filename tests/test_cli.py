@@ -537,3 +537,11 @@ def test_cli_process_scanner_error_exit_1():
     assert proc.stdout == ""
     assert proc.stderr.startswith(SCANNER_ERROR_MESSAGE)
     assert len(proc.stderr.splitlines()) == 1
+
+
+def test_cli_process_verify_deeply_nested_json_exit_1():
+    proc = _cli_process("verify", "-", stdin="[" * 200000 + "]" * 200000)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("realsurf: error: certificate is not valid JSON")
+    assert len(proc.stderr.splitlines()) == 1

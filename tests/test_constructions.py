@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import random
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+from realsurf import lattice
 from realsurf.constructions import (
     AmbientRecipe,
     Certificate,
@@ -14,12 +19,16 @@ from realsurf.constructions import (
     NoRecipe,
     Resolve,
     UseNamedClass,
+    _dumps_indented,
     stein_disc_bundle,
     stein_disc_bundle_nonorientable,
     totally_real_nonorientable,
     totally_real_oriented_in_k3,
     verify_certificate,
 )
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 # --- oriented totally real surfaces in K3 ------------------------------------
@@ -422,3 +431,104 @@ def test_every_wrong_typed_field_is_malformed(engine):
             mutant = _set(json.loads(json.dumps(data)), path, wrong)
             with pytest.raises(MalformedCertificate):
                 Certificate.from_dict(mutant)
+
+
+def test_from_json_rejects_deep_nesting():
+    for text in ("[" * 200000 + "]" * 200000, '{"a": ' * 100000 + "1" + "}" * 100000):
+        with pytest.raises(MalformedCertificate, match="not valid JSON"):
+            Certificate.from_json(text)
+
+
+# --- the indented JSON emitter -------------------------------------------------
+
+_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "/", "a", " ", "é", "€", "\u2028",
+          "\U0001f600", "\ud800"]
+_FLOATS = [-0.0, 0.0, 5e-324, 1e308, -1e308, float("inf"), float("-inf"), float("nan"), 1.5,
+           -2.25e-10, 1 / 3]
+
+
+def _random_string(rng):
+    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
+
+
+def _random_json(rng, depth):
+    """A value of dicts, lists and tuples nested down to ``depth``, with the
+    leaves json spells specially; a few dict keys are not strings."""
+    kind = rng.randrange(6 if depth else 3)
+    if kind == 0:
+        return rng.choice([rng.randint(-10**30, 10**30), rng.randint(-3, 3), True, False, None])
+    if kind == 1:
+        return rng.choice(_FLOATS) if rng.random() < 0.7 else rng.uniform(-1e6, 1e6)
+    if kind == 2:
+        return _random_string(rng)
+    size = rng.choice([0, 1, 2, 5])
+    if kind == 3:
+        keys = [rng.choice([7, -2.5, True, None]) if rng.random() < 0.1 else _random_string(rng)
+                for _ in range(size)]
+        return {key: _random_json(rng, depth - 1) for key in keys}
+    items = [_random_json(rng, depth - 1) for _ in range(size)]
+    return items if kind == 4 else tuple(items)
+
+
+def test_dumps_indented_matches_json_dumps():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        value = _random_json(rng, 4)
+        assert _dumps_indented(value) == json.dumps(value, indent=2)
+    for make in ENGINE_CERTIFICATES.values():
+        cert = make()
+        assert cert.to_json() == json.dumps(cert.to_dict(), indent=2)
+    for bad in ({1, 2}, {(1,): 2}):
+        with pytest.raises(TypeError):
+            _dumps_indented(bad)
+
+
+# the bytes of to_json as json.dumps(to_dict(), indent=2) wrote them
+PINNED_TO_JSON = {
+    "stein-disc-genus-30-euler--100": lambda: stein_disc_bundle(30, -100),
+    "stein-disc-nonorientable-chi--8-euler--30-blow-up-cp2":
+        lambda: stein_disc_bundle_nonorientable(-8, -30, "blow-up-cp2"),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_TO_JSON)
+def test_to_json_is_pinned(name):
+    expected = (DATA / f"to-json-{name}.json").read_text(encoding="utf-8")
+    assert PINNED_TO_JSON[name]().to_json() == expected
+
+
+# --- work done per certificate ------------------------------------------------
+
+
+def test_certify_and_verify_pair_each_class_once(monkeypatch):
+    calls = []
+    original = lattice.pairing
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("realsurf") and getattr(module, "pairing", None) is original:
+            monkeypatch.setattr(module, "pairing", counted)
+    AmbientRecipe("E(4)").build()  # warm: a build pairs c1 with itself
+    calls.clear()
+    cert = stein_disc_bundle(12, 20)
+    # 13 named steps and the resolved union square once each, I+- pairs twice
+    assert len(calls) == 16
+    decoded = Certificate.from_json(cert.to_json())
+    calls.clear()
+    assert verify_certificate(decoded).passed
+    assert len(calls) == 16
+
+
+def test_chart_step_check_is_constant_time():
+    chi = -10**12
+    cert = stein_disc_bundle_nonorientable(chi, 0)
+    assert cert.steps == (EmbedInChart(chi, 0),)
+    start = time.perf_counter()
+    assert verify_certificate(Certificate.from_json(cert.to_json())).passed
+    outside = dataclasses.replace(cert, steps=(EmbedInChart(chi, 2 * chi - 2),))
+    failures = verify_certificate(outside).failures()
+    assert time.perf_counter() - start < 0.1
+    assert failures[0].name == "step[0]: chart normal euler number is realizable"

@@ -5,6 +5,7 @@ import pytest
 from realsurf.ambient import blow_up, cp2, e, k3
 from realsurf.embedded import (
     ParityViolation,
+    _realizable,
     SurfaceClass,
     admissible_I,
     connected_sum,
@@ -268,6 +269,16 @@ def test_massey_set_instances():
         massey_set(2)
 
 
+def test_realizable_agrees_with_massey_set():
+    for chi in range(-40, 2):
+        values = set(massey_set(chi))
+        assert [nu for nu in range(-200, 201) if _realizable(chi, nu)] == sorted(
+            v for v in values if -200 <= v <= 200
+        )
+    with pytest.raises(ValueError, match="chi <= 1"):
+        _realizable(2, 0)
+
+
 def test_admissible_I_instances():
     assert admissible_I(0) == [-4, 0, 4]
     assert admissible_I(1) == [-1, 3]
@@ -299,3 +310,12 @@ def test_stein_and_totally_real_predicates():
     assert totally_real_possible(nonor)
     nonor_bad = SurfaceClass(amb, False, -1, None, 2)  # I = 1
     assert not stein_basis_possible(nonor_bad)
+    assert not totally_real_possible(nonor_bad)
+
+
+def test_predicates_of_an_oriented_surface_without_a_class_raise():
+    chart = SurfaceClass(k3(), True, 0, None, 0)
+    assert invariant_report(chart).i_plus is None
+    for predicate in (stein_basis_possible, totally_real_possible):
+        with pytest.raises(ValueError, match="homology class"):
+            predicate(chart)
