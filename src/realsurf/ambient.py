@@ -222,23 +222,36 @@ def fiber_sum_check(a: AmbientSurface, b: AmbientSurface) -> ConsistencyReport:
     return ConsistencyReport(f"{a.label} #_f {b.label} = {c.label}", checks)
 
 
-@functools.lru_cache(maxsize=64)
+_CATALOG_NAME = re.compile(r"cp2|k3|e\((\d+)\)")
+
+
 def by_name(name: str, blow_ups: int = 0) -> AmbientSurface:
     """Look up a catalog surface: ``cp2``, ``k3``, or ``e(n)``, with an
     optional number of blow-ups applied on top.
 
-    Cached: repeated lookups share one immutable instance.
+    Cached on the normalized spelling: ``by_name("E(4)")`` and
+    ``by_name(" e(4) ", 0)`` share one immutable instance.
     """
     if blow_ups < 0:
         raise ValueError("blow-up count must be nonnegative")
-    key = name.strip().lower()
+    match = _CATALOG_NAME.fullmatch(name.strip().lower())
+    if not match:
+        raise ValueError(f"unknown ambient surface {name!r} (expected cp2, k3 or e(n))")
+    key = f"e({int(match[1])})" if match[1] else match[0]
+    return _catalog_surface(key, blow_ups)
+
+
+@functools.lru_cache(maxsize=64)
+def _catalog_surface(key: str, blow_ups: int) -> AmbientSurface:
     if key == "cp2":
         surface = cp2()
     elif key == "k3":
         surface = k3()
     else:
-        match = re.fullmatch(r"e\((\d+)\)", key)
-        if not match:
-            raise ValueError(f"unknown ambient surface {name!r} (expected cp2, k3 or e(n))")
-        surface = e(int(match[1]))
+        surface = e(int(key[2:-1]))
     return _blown_up(surface, blow_ups) if blow_ups else surface
+
+
+# the lookup keeps the cache controls it had as an lru_cache wrapper
+by_name.cache_info = _catalog_surface.cache_info
+by_name.cache_clear = _catalog_surface.cache_clear

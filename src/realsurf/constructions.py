@@ -114,8 +114,10 @@ class Resolve:
     """Resolve all crossings of the union of earlier surfaces.
 
     ``crossings`` is the geometric count of transverse intersection
-    points, and the union is asserted connected by whoever wrote the
-    certificate; both are recorded here rather than inferred.
+    points.  The pairings bound it: it must be at least |X| and of X's
+    parity, where X is the sum of the pairings S_i.S_j over pairs of
+    parts.  That the union is connected is asserted by whoever wrote the
+    certificate.
     """
 
     parts: tuple[int, ...]
@@ -124,7 +126,8 @@ class Resolve:
 
 @dataclass(frozen=True)
 class ConnectedSum:
-    """Tube earlier surfaces together, left to right."""
+    """Tube earlier surfaces together.  The operands must pair to zero
+    pairwise, so any order of them gives the same surface."""
 
     operands: tuple[int, ...]
 
@@ -401,10 +404,7 @@ def _replay(ambient: AmbientSurface, steps: tuple[Step, ...]):
                 parts = _take(registry, step.parts, tag)
                 registry.append(resolve_union(parts, step.crossings))
             elif isinstance(step, ConnectedSum):
-                if len(step.operands) < 2:
-                    raise MalformedCertificate(f"{tag}: connected sum needs two or more operands")
-                operands = _take(registry, step.operands, tag)
-                registry.append(functools.reduce(connected_sum, operands))
+                registry.append(connected_sum(*_take(registry, step.operands, tag)))
             else:
                 raise MalformedCertificate(f"{tag}: unknown step type {type(step).__name__}")
         except ValueError as exc:

@@ -28,9 +28,10 @@ be cancelled and cancellation is exhaustive exactly at zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .ambient import AmbientSurface
-from .lattice import HClass, pairing
+from .lattice import HClass, _linked_pair, _summed, pairing
 
 __all__ = [
     "SurfaceClass",
@@ -105,9 +106,8 @@ def i_pm(s: SurfaceClass) -> tuple[int, int]:
         raise ValueError(
             "signed counts need a homology class; use an explicit zero class for chart surfaces"
         )
-    lat = s.ambient.lattice
-    c1_term = pairing(lat, s.ambient.c1, s.hclass)
-    square = pairing(lat, s.hclass, s.hclass)
+    c1_term = pairing(s.ambient.lattice, s.ambient.c1, s.hclass)
+    square = s.normal_euler  # __post_init__ set it equal to [S].[S]
     twice_plus = s.euler_char + c1_term + square
     twice_minus = s.euler_char - c1_term + square
     if twice_plus % 2 != 0 or twice_minus % 2 != 0:
@@ -126,63 +126,75 @@ def invariant_report(s: SurfaceClass) -> InvariantReport:
     return InvariantReport(i_total(s), plus, minus, trivial)
 
 
-def connected_sum(a: SurfaceClass, b: SurfaceClass) -> SurfaceClass:
-    """Ambient connected sum along a tube: chi and I drop by 2, classes and
-    normal Euler numbers add, orientability is the conjunction.
+def _shared_ambient(parts: Sequence[SurfaceClass], what: str) -> AmbientSurface:
+    ambient = parts[0].ambient
+    if any(p.ambient != ambient for p in parts):
+        raise ValueError(f"all surfaces of a {what} must share the ambient")
+    return ambient
 
-    The operands must be disjoint surfaces; representable disjointness
-    requires their classes to pair to zero, which is enforced.
+
+def connected_sum(*parts: SurfaceClass) -> SurfaceClass:
+    """Ambient connected sum of two or more surfaces along tubes: chi and I
+    drop by 2 per tube, classes and normal Euler numbers add, and the sum
+    is orientable when every part is.
+
+    The parts must be disjoint surfaces, and disjoint representatives need
+    pairwise orthogonal classes; that is enforced for every pair, so the
+    order of the parts does not matter.
     """
-    if a.ambient != b.ambient:
-        raise ValueError("connected sum needs both surfaces in the same ambient")
-    if a.hclass is not None and b.hclass is not None:
-        if a.ambient.pair(a.hclass, b.hclass) != 0:
-            raise ValueError(
-                "surfaces with nonzero homological intersection cannot be disjoint, "
-                "so their connected sum is not defined"
-            )
-    if a.hclass is None and b.hclass is None:
-        hclass = None
-    else:
-        zero = HClass.zero(a.ambient.rank)
-        hclass = (a.hclass or zero) + (b.hclass or zero)
-    result = SurfaceClass(
-        a.ambient,
-        a.orientable and b.orientable,
-        a.euler_char + b.euler_char - 2,
-        hclass,
-        a.normal_euler + b.normal_euler,
+    if len(parts) < 2:
+        raise ValueError("connected sum needs two or more operands")
+    ambient = _shared_ambient(parts, "connected sum")
+    classes = [p.hclass for p in parts]
+    linked = _linked_pair(ambient.lattice, classes)
+    if linked is not None:
+        i, j, v = linked
+        raise ValueError(
+            f"the operands at positions {i} and {j} have homological intersection {v}, "
+            "so they cannot be disjoint and their connected sum is not defined"
+        )
+    present = [h.terms for h in classes if h is not None]
+    return SurfaceClass(
+        ambient,
+        all(p.orientable for p in parts),
+        sum(p.euler_char for p in parts) - 2 * (len(parts) - 1),
+        _summed(ambient.rank, present) if present else None,
+        sum(p.normal_euler for p in parts),
     )
-    assert i_total(result) == i_total(a) + i_total(b) - 2
-    return result
 
 
 def resolve_union(parts: list[SurfaceClass], crossings: int) -> SurfaceClass:
     """Smooth all transverse intersections of a union of oriented surfaces.
 
     Each resolution replaces the local crossing zw = 0 by zw = eps,
-    merging sheets: the homology class is the sum, chi drops by 2 per
+    merging sheets: the homology class is the sum T, chi drops by 2 per
     crossing, and the result is an oriented surface in the summed class.
     ``crossings`` is the geometric count of intersection points, supplied
-    by the caller (homological pairings can undercount it).
+    by the caller.  Pairs i < j meet in at least |S_i.S_j| points, and in
+    a number of S_i.S_j's parity, so the count must be at least |X| and
+    of X's parity, where X = (T.T - sum S_i.S_i) / 2 is the sum of those
+    pairings; a count that is not raises ``ValueError``.
     """
     if not parts:
         raise ValueError("resolve_union needs at least one surface")
     if crossings < 0:
         raise ValueError("crossing count must be nonnegative")
-    ambient = parts[0].ambient
+    ambient = _shared_ambient(parts, "resolved union")
     for p in parts:
-        if p.ambient != ambient:
-            raise ValueError("all surfaces in a union must share the ambient")
         if not p.orientable:
             raise ValueError("resolution of intersections is defined for oriented surfaces only")
         if p.hclass is None:
             raise ValueError("every surface in a resolved union needs a homology class")
-    total = parts[0].hclass
-    for p in parts[1:]:
-        total = total + p.hclass
     chi = sum(p.euler_char for p in parts) - 2 * crossings
-    return SurfaceClass(ambient, True, chi, total, None)
+    total = _summed(ambient.rank, (p.hclass.terms for p in parts))
+    result = SurfaceClass(ambient, True, chi, total, None)
+    x = (result.normal_euler - sum(p.normal_euler for p in parts)) // 2
+    if crossings < abs(x) or (crossings - x) % 2:
+        raise ValueError(
+            f"{crossings} crossings cannot resolve surfaces whose pairings sum to {x}: "
+            f"the count must be at least {abs(x)} and of the same parity"
+        )
+    return result
 
 
 def _check_nonorientable_chi(chi: int) -> None:

@@ -28,7 +28,7 @@ import functools
 import math
 import operator
 from bisect import bisect_left
-from itertools import compress, repeat
+from itertools import combinations, compress, repeat
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -207,15 +207,8 @@ class HClass:
             return NotImplemented
         if self._rank != other._rank:
             raise ValueError(f"class ranks differ: {self._rank} and {other._rank}")
-        acc = dict(self._terms)
-        get = acc.get
-        for i, c in other._terms:
-            acc[i] = get(i, 0) + sign * c
-        # two sorted runs: the sort is a linear merge
-        terms = sorted(acc.items())
-        if 0 in acc.values():
-            terms = [t for t in terms if t[1]]
-        return HClass._sparse(self._rank, tuple(terms))
+        terms = other._terms if sign == 1 else [(i, -c) for i, c in other._terms]
+        return _summed(self._rank, (self._terms, terms))
 
     def __add__(self, other: "HClass") -> "HClass":
         return self._combine(other, 1)
@@ -242,6 +235,22 @@ class HClass:
     @staticmethod
     def zero(rank: int) -> "HClass":
         return HClass._sparse(rank, ())
+
+
+def _summed(rank: int, runs: Iterable[Iterable[tuple[int, int]]]) -> HClass:
+    """The class of rank ``rank`` whose terms sum the term runs: one dict
+    pass and one sort, with zero sums dropped.  Each run is in index
+    order, so the sort is a merge of sorted runs."""
+    runs = iter(runs)
+    acc = dict(next(runs, ()))
+    get = acc.get
+    for run in runs:
+        for i, c in run:
+            acc[i] = get(i, 0) + c
+    terms = sorted(acc.items())
+    if 0 in acc.values():
+        terms = [t for t in terms if t[1]]
+    return HClass._sparse(rank, tuple(terms))
 
 
 def _integer(value: object, position: int) -> int:
@@ -323,6 +332,29 @@ def pairing(L: Lattice, x: "HClass | Sequence[int]", y: "HClass | Sequence[int]"
         for j, v in other[lo : bisect_left(other, (s + len(row),), lo)]:
             total += c * row[j - s] * v
     return total
+
+
+def _linked_pair(
+    L: Lattice, classes: Sequence["HClass | None"]
+) -> tuple[int, int, int] | None:
+    """The first positions i < j whose classes pair to a nonzero v, as
+    (i, j, v), or None when the classes are pairwise orthogonal.  None
+    entries are skipped.  Classes with no terms in a common block pair to
+    zero, so only those that share a block are paired: k classes in k
+    distinct blocks cost no pairing at all."""
+    offsets = L._offsets
+    sharing: dict[int, list[int]] = {}
+    for k, h in enumerate(classes):
+        if h is None:
+            continue
+        for start in {offsets[i] for i, _ in h._terms}:
+            sharing.setdefault(start, []).append(k)
+    candidates = {ij for ks in sharing.values() for ij in combinations(ks, 2)}
+    for i, j in sorted(candidates):
+        v = pairing(L, classes[i], classes[j])
+        if v:
+            return i, j, v
+    return None
 
 
 def characteristic_defect(L: Lattice, c: "HClass | Sequence[int]") -> int | None:

@@ -187,6 +187,27 @@ def test_by_name_rejects_negative_blow_ups_before_building(monkeypatch):
             by_name(name, -1)
 
 
+def test_by_name_caches_one_entry_per_surface(monkeypatch):
+    calls = []
+    original = ambient.pairing
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(ambient, "pairing", counted)
+    by_name.cache_clear()
+    first = by_name("E(4)")
+    assert calls  # a build pairs c1 with itself
+    calls.clear()
+    for spelling in ((" e(4) ", 0), ("e(04)",), ("E(4)", 0)):
+        assert by_name(*spelling) is first
+    assert not calls
+    assert by_name("CP2", blow_ups=2) is by_name(" cp2", 2)
+    with pytest.raises(ValueError, match=r"'  T4 '"):
+        by_name("  T4 ")
+
+
 def test_large_ambient_memory_does_not_grow_with_n():
     # every named class and c1 of E(n) hold one term each; dense classes
     # would hold 4n - 2 tuples of length 12n - 2, hundreds of megabytes

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import random
 import sys
@@ -7,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from realsurf import lattice
+from realsurf import constructions, lattice
 from realsurf.constructions import (
     AmbientRecipe,
     Certificate,
     Claims,
+    ConnectedSum,
     DiscBundle,
     EmbedInChart,
     Infeasible,
@@ -20,6 +22,7 @@ from realsurf.constructions import (
     Resolve,
     UseNamedClass,
     _dumps_indented,
+    _finish,
     stein_disc_bundle,
     stein_disc_bundle_nonorientable,
     totally_real_nonorientable,
@@ -284,6 +287,76 @@ def test_malformed_index_reuse_and_leftovers():
         )
 
 
+def test_resolve_crossings_are_bounded_by_pairings():
+    # s.f = 1 in K3: the two sheets meet an odd number of times, at least once
+    for k in range(4):
+        steps = (UseNamedClass("s", 2), UseNamedClass("f", 0), Resolve((0, 1), k))
+        if k % 2:
+            cert = _finish(AmbientRecipe("K3"), list(steps))
+            assert cert.claimed.euler_char == 2 - 2 * k
+            assert verify_certificate(cert).passed
+        else:
+            claimed = Claims(True, 2 - 2 * k, 0, None, 2 - 2 * k, None, None)
+            with pytest.raises(MalformedCertificate, match=r"step\[2\]: .*crossings"):
+                verify_certificate(Certificate(AmbientRecipe("K3"), steps, claimed))
+
+
+# A sphere in s, a genus-2 surface A in s + 2f and a torus B in s + f, each
+# resolved with the least crossing count of the right parity.  s.A = 0 but
+# s.B = -1 and A.B = 1, so the three cannot be disjoint, although the sum
+# s + A pairs to zero with B.
+_LINKED_K3_STEPS = (
+    UseNamedClass("s", 2),
+    UseNamedClass("s", 2), UseNamedClass("f", 0), UseNamedClass("f", 0), Resolve((1, 2, 3), 2),
+    UseNamedClass("s", 2), UseNamedClass("f", 0), Resolve((5, 6), 1),
+)
+
+
+def test_linked_connected_sum_fails_in_every_operand_order():
+    claimed = Claims(True, -4, 0, None, -4, None, None)
+    for order in itertools.permutations((0, 4, 7)):
+        steps = (*_LINKED_K3_STEPS, ConnectedSum(order))
+        with pytest.raises(MalformedCertificate, match=r"step\[8\]: .*cannot be disjoint"):
+            verify_certificate(Certificate(AmbientRecipe("K3"), steps, claimed))
+
+
+def _operand_orders(operands, rng):
+    """Every order of at most 4 operands, else 3 seeded shuffles."""
+    if len(operands) <= 4:
+        return list(itertools.permutations(operands))
+    return [tuple(rng.sample(operands, len(operands))) for _ in range(3)]
+
+
+def _summed_certificates():
+    for kind in ("k3", "k3-blow-up", "e3"):
+        for chi in range(-7, 2):
+            if kind != "k3" or chi % 2 == 0:
+                yield totally_real_nonorientable(chi, kind)
+    for strategy in ("blow-up-cp2", "section-of-em"):
+        for chi, n in ((1, -1), (-2, 2), (-3, -1), (0, -4)):
+            yield stein_disc_bundle_nonorientable(chi, n, strategy)
+    cert = stein_disc_bundle_nonorientable(1, -32, "blow-up-cp2")
+    assert cert.ambient == AmbientRecipe("CP2", 30)
+    yield cert
+
+
+def test_connected_sum_verdict_ignores_operand_order():
+    rng = random.Random(16)
+    sums = 0
+    for cert in _summed_certificates():
+        if not isinstance(cert.steps[-1], ConnectedSum):
+            continue
+        sums += 1
+        report = verify_certificate(cert)
+        assert report.passed
+        for order in _operand_orders(cert.steps[-1].operands, rng):
+            steps = (*cert.steps[:-1], ConnectedSum(order))
+            assert verify_certificate(dataclasses.replace(cert, steps=steps)) == report
+            claimed = _finish(cert.ambient, list(steps), (), cert.claimed.disc_bundle).claimed
+            assert claimed == cert.claimed
+    assert sums >= 20
+
+
 def test_wrong_named_class_chi_is_a_failed_check():
     cert = totally_real_oriented_in_k3(0)
     bad_steps = (UseNamedClass("s", 0), Resolve((0,), 0))
@@ -500,7 +573,9 @@ def test_to_json_is_pinned(name):
 # --- work done per certificate ------------------------------------------------
 
 
-def test_certify_and_verify_pair_each_class_once(monkeypatch):
+def _counted_pairings(monkeypatch) -> list:
+    """Route every realsurf module's ``pairing`` through a counter; the
+    returned list holds the arguments of each call made from then on."""
     calls = []
     original = lattice.pairing
 
@@ -511,15 +586,55 @@ def test_certify_and_verify_pair_each_class_once(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("realsurf") and getattr(module, "pairing", None) is original:
             monkeypatch.setattr(module, "pairing", counted)
+    return calls
+
+
+def test_certify_and_verify_pair_each_class_once(monkeypatch):
+    calls = _counted_pairings(monkeypatch)
     AmbientRecipe("E(4)").build()  # warm: a build pairs c1 with itself
     calls.clear()
     cert = stein_disc_bundle(12, 20)
-    # 13 named steps and the resolved union square once each, I+- pairs twice
-    assert len(calls) == 16
+    # 13 named steps and the resolved union square once each, I+- pairs c1
+    # once and reads the square from the normal euler number
+    assert len(calls) == 15
     decoded = Certificate.from_json(cert.to_json())
     calls.clear()
     assert verify_certificate(decoded).passed
-    assert len(calls) == 16
+    assert len(calls) == 15
+
+
+def test_each_replay_step_builds_one_surface(monkeypatch):
+    built = []
+    post_init = constructions.SurfaceClass.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(constructions.SurfaceClass, "__post_init__", counted)
+    for cert in (stein_disc_bundle(6, 4), totally_real_nonorientable(-1, "e3"),
+                 stein_disc_bundle_nonorientable(-8, -30, "blow-up-cp2")):
+        built.clear()
+        verify_certificate(cert)
+        assert len(built) == len(cert.steps)
+
+
+def test_connected_sum_step_pairs_only_classes_that_share_a_block(monkeypatch):
+    cert = stein_disc_bundle_nonorientable(1, -202, "blow-up-cp2")
+    assert cert.ambient == AmbientRecipe("CP2", 200)
+    calls = _counted_pairings(monkeypatch)
+    summed = []
+    original = constructions.connected_sum
+
+    def counted(*parts):
+        before = len(calls)
+        result = original(*parts)
+        summed.append((len(parts), len(calls) - before))
+        return result
+
+    monkeypatch.setattr(constructions, "connected_sum", counted)
+    assert verify_certificate(cert).passed
+    assert summed == [(201, 0)]
 
 
 def test_chart_step_check_is_constant_time():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -189,10 +190,35 @@ def test_connected_sum_requires_same_ambient():
 
 def test_connected_sum_rejects_linked_classes():
     amb = k3()
-    a = SurfaceClass(amb, True, 2, amb.named_class("s"))
-    b = SurfaceClass(amb, True, 0, amb.named_class("f"))  # s.f = 1
+    s, f = amb.named_class("s"), amb.named_class("f")
+    a = SurfaceClass(amb, True, 2, s)
     with pytest.raises(ValueError):
-        connected_sum(a, b)
+        connected_sum(a, SurfaceClass(amb, True, 0, f))  # s.f = 1
+    # s.(s + 2f) = 0 and (2s + 2f).(s + f) = 0, but s.(s + f) = -1: every
+    # pair is checked, not each operand against the running sum
+    b = resolve_union([a] + [SurfaceClass(amb, True, 0, f)] * 2, 2)
+    c = resolve_union([a, SurfaceClass(amb, True, 0, f)], 1)
+    for order in itertools.permutations((a, b, c)):
+        with pytest.raises(ValueError, match="cannot be disjoint"):
+            connected_sum(*order)
+
+
+def test_connected_sum_of_many_parts():
+    amb = blow_up(blow_up(k3()))
+    sigma = SurfaceClass(amb, False, -1, None, 2)  # I = 1
+    spheres = [SurfaceClass(amb, True, 2, amb.named_class(n)) for n in ("e1", "e2", "s")]
+    out = connected_sum(sigma, *spheres)
+    assert out == connected_sum(connected_sum(connected_sum(sigma, spheres[0]), spheres[1]),
+                                spheres[2])
+    assert out.euler_char == -1 + 3 * 2 - 3 * 2
+    assert i_total(out) == 1 + 1 + 1 + 0 - 6
+    oriented = connected_sum(*spheres)
+    assert oriented.hclass == sum((s.hclass for s in spheres[1:]), spheres[0].hclass)
+    assert oriented.normal_euler == -1 - 1 - 2
+    with pytest.raises(ValueError, match="two or more"):
+        connected_sum(sigma)
+    with pytest.raises(ValueError, match="two or more"):
+        connected_sum()
 
 
 def test_connected_sum_additivity_random():
@@ -245,6 +271,24 @@ def test_resolve_single_part_identity():
     amb = k3()
     s = SurfaceClass(amb, True, 2, amb.named_class("s"))
     assert resolve_union([s], 0) == s
+
+
+def test_resolve_crossings_bounded_by_pairings():
+    amb = k3()
+    s = SurfaceClass(amb, True, 2, amb.named_class("s"))
+    f = SurfaceClass(amb, True, 0, amb.named_class("f"))
+    s1 = SurfaceClass(amb, True, 2, amb.named_class("s1"))
+    # X = s.f + s.f + f.f = 2
+    for k in range(6):
+        if k >= 2 and k % 2 == 0:
+            assert resolve_union([s, f, f], k).euler_char == 2 - 2 * k
+        else:
+            with pytest.raises(ValueError, match="crossings"):
+                resolve_union([s, f, f], k)
+    # s.s1 = 0: disjoint spheres resolve with an even count only
+    assert resolve_union([s, s1], 2).euler_char == 0
+    with pytest.raises(ValueError, match="crossings"):
+        resolve_union([s, s1], 1)
 
 
 def test_resolve_rejects_bad_parts():

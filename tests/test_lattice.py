@@ -1,4 +1,5 @@
 import copy
+import itertools
 import math
 import pickle
 import random
@@ -10,6 +11,8 @@ import pytest
 from realsurf.lattice import (
     HClass,
     Lattice,
+    _linked_pair,
+    _summed,
     basis_class,
     determinant,
     diag,
@@ -281,6 +284,22 @@ def test_sparse_classes_match_dense_arithmetic():
         assert x - x == HClass.zero(n) and (x - x).is_zero
         assert x == HClass(u) and hash(x) == hash(HClass(u))
         assert (x + y - y) == x and hash(x + y - y) == hash(x)
+
+
+def test_many_class_sum_and_pairwise_orthogonality_match_brute_force():
+    rng = random.Random(16)
+    for _ in range(200):
+        lat = _random_lattice(rng)
+        n = lat.rank
+        classes = [HClass(_random_dense(rng, n)) if rng.random() < 0.9 else None
+                   for _ in range(rng.randrange(1, 6))]
+        present = [h for h in classes if h is not None]
+        total = _summed(n, (h.terms for h in present))
+        assert total == sum(present, HClass.zero(n))
+        linked = [(i, j, pairing(lat, a, b))
+                  for (i, a), (j, b) in itertools.combinations(enumerate(classes), 2)
+                  if a is not None and b is not None and pairing(lat, a, b)]
+        assert _linked_pair(lat, classes) == (linked[0] if linked else None)
 
 
 def test_hclass_pickles_and_copies():
