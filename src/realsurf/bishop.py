@@ -268,9 +268,8 @@ _BATCH = 64
 # "Scanner conventions"); stride 16 misses them at twice the width, and
 # stride 4 made a grid-512 scan 2.5 times slower
 _STRIDE = 8
-# nodes per strip of the fine pass (stacked blocks of kept coarse cells)
-# and of the whole-lattice immersion check on the error path: a strip's
-# partials and their temporaries stay in cache
+# nodes per strip of the fine pass (stacked blocks of kept coarse cells):
+# a strip's partials and their temporaries stay in cache
 _STRIP_NODES = 1 << 14
 
 
@@ -311,14 +310,20 @@ def _grid_pass(chart: Chart, grid: int, chart_index: int, zero_rel: float):
     only and applies ``_candidate_cells`` there.
     Returns the node coordinates us, vs, the cell size h, the median
     |delta| of the coarse nodes (``scale``) and the candidate cells as
-    index pairs (i, j) in row-major order.
+    index pairs (i, j) in row-major order.  A zero ``scale`` raises
+    ``UnresolvedCluster`` before the fine pass.
     """
     (u0, u1), (v0, v1) = chart.u_range, chart.v_range
     h = hu, hv = (u1 - u0) / grid, (v1 - v0) / grid
     us = u0 + _GRID_SHIFT * hu + hu * np.arange(grid + 1)
     vs = v0 + _GRID_SHIFT * hv + hv * np.arange(grid + 1)
-    ci, cj, _, scale, kept = _coarse_pass(chart, us, vs, h, chart_index, zero_rel)
-    *_, cells = _fine_pass(chart, us, vs, h, chart_index, ci, cj, kept, zero_rel * scale, scale)
+    ci, cj, scale, kept = _coarse_pass(chart, us, vs, h, chart_index, zero_rel)
+    if scale == 0.0:
+        raise UnresolvedCluster(
+            f"detector vanishes on half the grid of chart {chart_index}; "
+            "zeros are not isolated"
+        )
+    cells = _fine_pass(chart, us, vs, h, chart_index, ci, cj, kept, zero_rel * scale, scale)
     return us, vs, h, scale, cells
 
 
@@ -330,10 +335,10 @@ def _node_coordinates(chart: Chart, us, vs, i, j):
 
 
 def _coarse_pass(chart: Chart, us, vs, h, chart_index: int, zero_rel: float):
-    """Delta on the coarse lattice of every ``_STRIDE``-th fine node (fine
-    indices ci x cj, the last row and column narrower when the stride does
-    not divide the grid), its median modulus ``scale``, and which coarse
-    cells are ``kept``, that is, not proved free of zeros.
+    """The coarse lattice of every ``_STRIDE``-th fine node (fine indices
+    ci x cj, the last row and column narrower when the stride does not
+    divide the grid), the median modulus ``scale`` of delta there, and
+    which coarse cells are ``kept``, that is, not proved free of zeros.
 
     Each coarse cell is sampled at its four corners and at its middle
     fine node m, and cleared when |delta(m)| > L r + 1e-6 P, with
@@ -366,12 +371,13 @@ def _coarse_pass(chart: Chart, us, vs, h, chart_index: int, zero_rel: float):
         kept = ~(np.abs(dm) > lipschitz * np.hypot(du, dv) + 1e-6 * size)
         kept |= np.logical_or.reduce(_corners(_near_zero(modulus, zero_floor, factor)))
         kept |= _near_zero(np.abs(dm), zero_floor, factor)
-    return ci, cj, d, scale, kept
+    return ci, cj, scale, kept
 
 
 def _samples(chart: Chart, us, vs, h, chart_index: int, i, j):
     """Delta, |grad delta| and |F_u| |F_v| at the fine nodes i x j (index
-    columns (m, 1) and rows (1, n)), the nodes checked for immersion.
+    columns (m, 1) and rows (1, n)), after checking those nodes for
+    immersion.
     grad delta is a difference of delta to the next fine node along u and
     along v (the previous one at the rim of a chart that is not
     periodic): it measures the gradient half a cell away, with O(h^2)
@@ -384,8 +390,7 @@ def _samples(chart: Chart, us, vs, h, chart_index: int, i, j):
     partials = _partials(chart, np.stack([u for u, _ in pairs]), np.stack([v for _, v in pairs]), *h)
     d, d_u, d_v = _delta(partials)
     zu, wu, zv, wv = at_nodes = [x[0] for x in partials]
-    if np.any(_immersion_fails(at_nodes)):
-        _raise_at_first_bad_node(chart, us, vs, h, chart_index)
+    _check_immersion(chart_index, *pairs[0], at_nodes)
     with np.errstate(over="ignore", invalid="ignore"):
         grad = np.hypot(np.abs(d_u - d) / (su * h[0]), np.abs(d_v - d) / (sv * h[1]))
         span = np.hypot(np.abs(zu), np.abs(wu)) * np.hypot(np.abs(zv), np.abs(wv))
@@ -402,38 +407,33 @@ def _next_node(c, grid, periodic):
 
 
 def _fine_pass(chart: Chart, us, vs, h, chart_index: int, ci, cj, kept, zero_floor, scale):
-    """Delta on the fine nodes of the kept coarse cells, and the candidate
-    cells among their fine cells.
+    """The candidate cells (i, j), in row-major order, among the fine
+    cells of the kept coarse cells.
 
     Each kept cell's (_STRIDE+1)^2 fine nodes form one block, its far
     edge node repeated where the cell is narrower; the stacked blocks
     are evaluated one strip of about ``_STRIP_NODES`` nodes at a time,
     and each strip is checked for immersion and run through
-    ``_candidate_cells``, all its blocks at once.  Returns the blocks'
-    fine node indices iu, iv (one row per block), their delta and the
-    candidate cells (i, j) in row-major order.
+    ``_candidate_cells``, all its blocks at once.
     """
     a, b = np.nonzero(kept)
     steps = np.arange(_STRIDE + 1)
     iu = np.minimum(ci[a, None] + steps, ci[a + 1, None])
     iv = np.minimum(cj[b, None] + steps, cj[b + 1, None])
     bu, bv = _node_coordinates(chart, us, vs, iu, iv)
-    delta = np.empty((len(a), _STRIDE + 1, _STRIDE + 1), dtype=complex)
     flagged = [np.empty((0, 3), dtype=np.intp)]  # (block, i, j) of each candidate
     blocks = max(1, _STRIP_NODES // (_STRIDE + 1) ** 2)
     for first in range(0, len(a), blocks):
         u, v = np.broadcast_arrays(bu[first:first + blocks, :, None], bv[first:first + blocks, None, :])
         partials = _partials(chart, u.copy(), v.copy(), *h)
-        if np.any(_immersion_fails(partials)):
-            _raise_at_first_bad_node(chart, us, vs, h, chart_index)
-        d = delta[first:first + blocks] = _delta(partials)
-        flagged.append(_candidate_cells(d, zero_floor, np.abs(d), scale) + (first, 0, 0))
+        _check_immersion(chart_index, u, v, partials)
+        flagged.append(_candidate_cells(_delta(partials), zero_floor, scale) + (first, 0, 0))
     k, i, j = np.concatenate(flagged).T
     # a narrower cell's repeated nodes span empty cells
     real = (iu[k, i] < iu[k, i + 1]) & (iv[k, j] < iv[k, j + 1])
     i, j = iu[k, i][real], iv[k, j][real]
     order = np.lexsort((j, i))
-    return iu, iv, delta, np.column_stack([i[order], j[order]])
+    return np.column_stack([i[order], j[order]])
 
 
 def _immersion_fails(partials):
@@ -449,28 +449,17 @@ def _immersion_fails(partials):
         return (na * nb == 0.0) | ~(gram >= 1e-12 * na * nb)
 
 
-def _check_immersion(chart_index: int, us, vs, partials) -> None:
-    """Raise ``ImmersionFailure`` at the first node of the lattice us x vs
-    that ``_immersion_fails``."""
+def _check_immersion(chart_index: int, u, v, partials) -> None:
+    """Raise ``ImmersionFailure`` at the first node, in evaluation order
+    (the arrays' element order), that ``_immersion_fails``; u and v are
+    the nodes' parameters, arrays of the partials' shape."""
     bad = _immersion_fails(partials)
     if np.any(bad):
-        i, j = np.argwhere(bad)[0]
+        k = np.argmax(bad)
         raise ImmersionFailure(
             f"partial derivatives are real-linearly dependent near "
-            f"chart {chart_index} parameter ({us[i]:.6g}, {vs[j]:.6g})"
+            f"chart {chart_index} parameter ({u.flat[k]:.6g}, {v.flat[k]:.6g})"
         )
-
-
-def _raise_at_first_bad_node(chart: Chart, us, vs, h, chart_index: int):
-    """The error path of the grid pass: check the whole node lattice, one
-    strip of rows at a time, so the failure names its first bad node in
-    row-major order whichever nodes the passes evaluated."""
-    rows = max(1, _STRIP_NODES // len(vs))
-    for first in range(0, len(us), rows):
-        strip = us[first:first + rows]
-        _check_immersion(chart_index, strip, vs, _partials(chart, *np.meshgrid(strip, vs, indexing="ij"), *h))
-    # reached only by a chart whose values depend on the shape of its arguments
-    raise ImmersionFailure(f"partial derivatives are real-linearly dependent in chart {chart_index}")
 
 
 def _corners(x):
@@ -490,12 +479,12 @@ def _near_zero(modulus, zero_floor, factor):
     return (modulus < zero_floor) | ~((mf > 2.0**-500) & (mf < 2.0**500))
 
 
-def _candidate_cells(delta, zero_floor, modulus, scale):
+def _candidate_cells(delta, zero_floor, scale):
     """Index tuples of the cells of the node array delta (..., m, n) that
     need a closer look, by the rule ``_windings`` starts from on the same
     four corners: a cell left out has four settled steps summing to zero,
-    so refinement would judge it winding 0 at once.  ``modulus`` is
-    |delta| and ``scale`` the median modulus.
+    so refinement would judge it winding 0 at once.  ``scale`` is the
+    median |delta| of the coarse nodes.
 
     Each edge from a to b is tested once, in real arithmetic: its phase
     step exceeds pi/2 exactly when Re(b conj(a)) < 0.  A cell is flagged
@@ -523,7 +512,7 @@ def _candidate_cells(delta, zero_floor, modulus, scale):
         sign_u = (pu.imag > 0).view(np.int8) - (pu.imag < 0).view(np.int8)
         sign_v = (pv.imag > 0).view(np.int8) - (pv.imag < 0).view(np.int8)
         cells |= np.abs(sign_u[..., :, :-1] + sign_v[..., 1:, :] - sign_u[..., :, 1:] - sign_v[..., :-1, :]) == 4
-        cells |= np.logical_or.reduce(_corners(_near_zero(modulus, zero_floor, factor)))
+        cells |= np.logical_or.reduce(_corners(_near_zero(np.abs(delta), zero_floor, factor)))
     return np.argwhere(cells)
 
 
@@ -770,11 +759,6 @@ def find_complex_points(
     reports: list[PointReport] = []
     for chart_index, chart in enumerate(surface.charts):
         us, vs, h, scale, cells = _grid_pass(chart, grid, chart_index, tol.zero_rel)
-        if scale == 0.0:
-            raise UnresolvedCluster(
-                f"detector vanishes on half the grid of chart {chart_index}; "
-                "zeros are not isolated"
-            )
         cell = min(h)
         if chart.d_du is not None and chart.d_dv is not None:
             step = max(cell * 1e-3, 1e-12)

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from .ambient import AmbientSurface, Check, by_name
 from .embedded import (
     SurfaceClass,
+    _check_nonorientable_chi,
     _predicates,
     _realizable,
     connected_sum,
@@ -533,8 +534,7 @@ def totally_real_nonorientable(chi: int, ambient_kind: str = "k3-blow-up") -> Ce
     E(3) handle every chi.  ``ambient_kind`` is ``k3``, ``k3-blow-up`` or
     ``e3``, spelled exactly so.
     """
-    if chi > 1:
-        raise ValueError(f"nonorientable surfaces have chi <= 1, got {chi}")
+    _check_nonorientable_chi(chi)
     if ambient_kind not in _NONOR_DISPATCH:
         raise ValueError(f"unknown ambient kind {ambient_kind!r}; expected k3, k3-blow-up or e3")
     recipe, dispatch = _NONOR_DISPATCH[ambient_kind]
@@ -599,8 +599,7 @@ def stein_disc_bundle_nonorientable(chi: int, n: int, strategy: str = "blow-up-c
     number n with I = chi + n, and m is minimized.  No other spelling of
     the strategy is accepted.
     """
-    if chi > 1:
-        raise ValueError(f"nonorientable surfaces have chi <= 1, got {chi}")
+    _check_nonorientable_chi(chi)
     if n + chi > 0:
         raise Infeasible(
             f"the disc bundle over a chi = {chi} nonorientable base with euler number {n} "

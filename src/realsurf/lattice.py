@@ -13,9 +13,9 @@ per process however many copies a lattice holds.
 An ``HClass`` is held sparsely, as its rank and its nonzero
 ``(index, coeff)`` pairs in index order; the dense ``coeffs`` tuple is
 built only when read.  Sums, multiples and basis classes cost O(support),
-and ``pairing`` walks the terms of the sparser class, finding the other's
-terms inside each row's block by bisection: O(|x| log |y| + overlap),
-independent of the rank.
+and ``pairing`` walks the terms of the sparser class, finding each term's
+block and the other class's terms inside it by bisection:
+O(|x| (log |y| + log blocks) + overlap).
 
 No floating point is used anywhere: one fraction-free (Bareiss)
 congruence diagonalization per block, in integers, gives both the
@@ -27,8 +27,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from bisect import bisect_left
-from itertools import combinations, compress, repeat
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, combinations, compress
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -55,8 +55,9 @@ class Lattice:
     once into its finest contiguous diagonal blocks: a block ends at row
     i exactly when no row up to i has a nonzero entry right of column i.
     The split depends only on the matrix, so equality and hashing compare
-    block lists and agree with equality of Gram matrices.  Each row also
-    records where its block starts, which is all ``pairing`` needs.
+    block lists and agree with equality of Gram matrices.  The lattice
+    also keeps where each block starts (the prefix sums of the block
+    sizes, the rank last), so one bisection finds the block of an index.
 
     ``gram`` is the dense matrix as a tuple of row tuples.  It is built on
     first read and cached (``Lattice(gram)`` keeps the matrix it was
@@ -66,7 +67,7 @@ class Lattice:
     threads and to reuse as dictionary keys.
     """
 
-    __slots__ = ("_blocks", "_rows", "_offsets", "_gram")
+    __slots__ = ("_blocks", "_starts", "_gram")
 
     def __init__(self, gram: Iterable[Iterable[int]]) -> None:
         g = tuple(tuple(map(int, row)) for row in gram)
@@ -94,14 +95,8 @@ class Lattice:
         return lat
 
     def _set_blocks(self, blocks: tuple[Gram, ...]) -> None:
-        rows: list[tuple[int, ...]] = []
-        offsets: list[int] = []
-        for block in blocks:
-            offsets.extend(repeat(len(rows), len(block)))
-            rows.extend(block)
         object.__setattr__(self, "_blocks", blocks)
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_offsets", tuple(offsets))
+        object.__setattr__(self, "_starts", (0, *accumulate(map(len, blocks))))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Lattice is immutable")
@@ -123,7 +118,7 @@ class Lattice:
 
     @property
     def rank(self) -> int:
-        return len(self._rows)
+        return self._starts[-1]
 
     @property
     def gram(self) -> Gram:
@@ -131,7 +126,8 @@ class Lattice:
             n = self.rank
             dense = tuple(
                 (0,) * s + row + (0,) * (n - s - len(row))
-                for row, s in zip(self._rows, self._offsets)
+                for block, s in zip(self._blocks, self._starts)
+                for row in block
             )
             object.__setattr__(self, "_gram", dense)
         return self._gram
@@ -310,26 +306,29 @@ def _as_class(x: "HClass | Sequence[int]") -> HClass:
 def pairing(L: Lattice, x: "HClass | Sequence[int]", y: "HClass | Sequence[int]") -> int:
     """The intersection pairing x . y = x^T (gram) y, exactly.
 
-    Walks the terms of the sparser class; for a term at index i, the
-    other class's terms inside row i's block are found by bisection.  The
-    cost is O(|x| log |y| + overlap), independent of the rank.
+    Walks the terms of the sparser class; for a term at index i, row i's
+    block is found by bisection on the block starts, and the other
+    class's terms inside it by bisection on those terms.  The cost is
+    O(|x| (log |y| + log blocks) + overlap).
     """
     a, b = _as_class(x), _as_class(y)
-    rows = L._rows
-    if a._rank != len(rows) or b._rank != len(rows):
+    n = L.rank
+    if a._rank != n or b._rank != n:
         raise ValueError(
-            f"class length mismatch: got {a._rank} and {b._rank}, lattice rank is {len(rows)}"
+            f"class length mismatch: got {a._rank} and {b._rank}, lattice rank is {n}"
         )
     walk, other = a._terms, b._terms
     if len(walk) > len(other):
         walk, other = other, walk
-    offsets = L._offsets
+    blocks, starts = L._blocks, L._starts
     total = 0
     for i, c in walk:
-        row, s = rows[i], offsets[i]
+        k = bisect_right(starts, i)
+        s, end = starts[k - 1], starts[k]
+        row = blocks[k - 1][i - s]
         # (s,) sorts before every term (s, v): the first term at index >= s
         lo = bisect_left(other, (s,))
-        for j, v in other[lo : bisect_left(other, (s + len(row),), lo)]:
+        for j, v in other[lo : bisect_left(other, (end,), lo)]:
             total += c * row[j - s] * v
     return total
 
@@ -342,13 +341,13 @@ def _linked_pair(
     entries are skipped.  Classes with no terms in a common block pair to
     zero, so only those that share a block are paired: k classes in k
     distinct blocks cost no pairing at all."""
-    offsets = L._offsets
+    starts = L._starts
     sharing: dict[int, list[int]] = {}
     for k, h in enumerate(classes):
         if h is None:
             continue
-        for start in {offsets[i] for i, _ in h._terms}:
-            sharing.setdefault(start, []).append(k)
+        for block in {bisect_right(starts, i) for i, _ in h._terms}:
+            sharing.setdefault(block, []).append(k)
     candidates = {ij for ks in sharing.values() for ij in combinations(ks, 2)}
     for i, j in sorted(candidates):
         v = pairing(L, classes[i], classes[j])

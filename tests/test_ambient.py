@@ -114,6 +114,12 @@ def test_constructor_rejects_non_characteristic_c1():
         AmbientSurface("bad", lat, HClass((2,)), 3, {"h": basis_class(lat, 0)})
 
 
+def test_constructor_names_the_basis_vector_where_a_zero_c1_fails():
+    # c1 = 0 has no terms: the test reads the block's odd diagonal entry
+    with pytest.raises(ValueError, match="c1 is not characteristic at basis vector 0"):
+        AmbientSurface("bad", diag([1]), HClass.zero(1), 3, {})
+
+
 def test_constructor_rejects_c1_square_off_the_signature_theorem():
     # c1 = h is characteristic on <1>, but c1.c1 = 1 while 2 chi + 3 sigma = 9
     lat = diag([1])

@@ -287,6 +287,19 @@ def test_malformed_index_reuse_and_leftovers():
         )
 
 
+def test_malformed_base_step_kind_and_operand_index_are_named():
+    claimed = Claims(True, 2, -2, None, 0, None, None)
+    with pytest.raises(MalformedCertificate, match="unknown ambient surface 'K9'"):
+        verify_certificate(Certificate(AmbientRecipe("K9"), (UseNamedClass("s", 2),), claimed))
+    data = totally_real_oriented_in_k3(2).to_dict()
+    data["steps"][0]["kind"] = "fold"
+    with pytest.raises(MalformedCertificate, match=r"step\[0\]: unknown step kind 'fold'"):
+        Certificate.from_json(json.dumps(data))
+    steps = (UseNamedClass("s", 2), Resolve((0, 1), 0))
+    with pytest.raises(MalformedCertificate, match=r"step\[1\]: operand index 1 out of range"):
+        verify_certificate(Certificate(AmbientRecipe("K3"), steps, claimed))
+
+
 def test_resolve_crossings_are_bounded_by_pairings():
     # s.f = 1 in K3: the two sheets meet an odd number of times, at least once
     for k in range(4):

@@ -82,6 +82,11 @@ def test_normal_euler_derived_from_class():
         SurfaceClass(amb, True, 2, amb.named_class("s"), normal_euler=0)
 
 
+def test_class_length_must_match_the_ambient_rank():
+    with pytest.raises(ValueError, match="does not match the ambient rank"):
+        SurfaceClass(k3(), True, 2, HClass.zero(21))
+
+
 def test_normal_euler_required_without_class():
     with pytest.raises(ValueError):
         SurfaceClass(k3(), False, 0)
@@ -299,6 +304,9 @@ def test_resolve_rejects_bad_parts():
         resolve_union([SurfaceClass(amb, True, 2, None, 0)], 0)
     with pytest.raises(ValueError):
         resolve_union([], 0)
+    s = SurfaceClass(amb, True, 2, amb.named_class("s"))
+    with pytest.raises(ValueError, match="crossing count must be nonnegative"):
+        resolve_union([s], -1)
 
 
 # --- Massey range and predicates ---------------------------------------------

@@ -137,6 +137,12 @@ def test_pairing_dimension_mismatch():
         pairing(pair(2), (1,), (0, 1))
 
 
+def test_basis_class_index_out_of_range():
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match=f"basis index {index} out of range for rank 2"):
+            basis_class(pair(2), index)
+
+
 def test_signature_diag():
     assert signature(diag([1, -1])) == (1, 1, 0)
 
