@@ -10,7 +10,8 @@ F(u, v) this happens exactly where
 vanishes (the two partials become complex-linearly dependent), so
 detection is zero-finding for delta: a coarse-to-fine grid pass (delta
 on every 8th node of the grid, a Lipschitz exclusion test per coarse
-cell, and the fine nodes only in the coarse cells it cannot clear),
+cell whose grad delta comes from the chart's second-order jet where it
+has one, and the fine nodes only in the coarse cells it cannot clear),
 winding-number tests on the fine cells left, and quadtree refinement
 that lets a box winding +-1 go once a uniqueness test and a batched
 Newton polish settle it.
@@ -186,6 +187,14 @@ class Chart:
     gets Python floats and is the chart's region of responsibility: when
     several charts cover the surface the predicates must partition it,
     so each complex point is reported exactly once.
+
+    ``jet(u, v)`` is optional, for a chart that has ``d_du`` and ``d_dv``,
+    with their calling convention: it returns (F_u, F_v, F_uu, F_uv, F_vv),
+    each a (z, w) pair of arrays, and its F_u and F_v must be bitwise
+    ``d_du`` and ``d_dv`` at the same arrays (the coarse pass then sees
+    the delta the fine pass and Newton see).  Only the coarse pass reads
+    it, for grad delta at its samples; without it the coarse pass takes
+    differences of delta to the next fine node.
     """
 
     evaluate: Callable
@@ -197,6 +206,7 @@ class Chart:
     d_dv: Callable | None = None
     owns: Callable | None = None
     label: str = ""
+    jet: Callable | None = None
 
 
 @dataclass
@@ -344,7 +354,8 @@ def _coarse_pass(chart: Chart, us, vs, h, chart_index: int, zero_rel: float):
     fine node m, and cleared when |delta(m)| > L r + 1e-6 P, with
     L = 2 max |grad delta| and P = 2 max |F_u| |F_v| over the five
     samples and r the distance from m to the farthest corner (grad delta
-    from ``_samples``).  L r estimates how far delta can fall from m; it
+    from ``_samples``: the chart's jet at the sample, or a difference to
+    the next fine node).  L r estimates how far delta can fall from m; it
     is a bound only where delta varies on scales above the samples'
     spacing.  The middle sample halves the distance from a point of the
     cell to the nearest gradient sample, so a feature about two fine
@@ -378,21 +389,35 @@ def _samples(chart: Chart, us, vs, h, chart_index: int, i, j):
     """Delta, |grad delta| and |F_u| |F_v| at the fine nodes i x j (index
     columns (m, 1) and rows (1, n)), after checking those nodes for
     immersion.
-    grad delta is a difference of delta to the next fine node along u and
-    along v (the previous one at the rim of a chart that is not
-    periodic): it measures the gradient half a cell away, with O(h^2)
-    error like a central difference."""
-    grid = len(us) - 1
-    iu, su = _next_node(i, grid, chart.periodic_u)
-    jv, sv = _next_node(j, grid, chart.periodic_v)
-    # the nodes and their neighbours along u and along v, in one call
-    pairs = [np.broadcast_arrays(*_node_coordinates(chart, us, vs, *n)) for n in ((i, j), (iu, j), (i, jv))]
-    partials = _partials(chart, np.stack([u for u, _ in pairs]), np.stack([v for _, v in pairs]), *h)
-    d, d_u, d_v = _delta(partials)
-    zu, wu, zv, wv = at_nodes = [x[0] for x in partials]
-    _check_immersion(chart_index, *pairs[0], at_nodes)
+    A chart with a ``jet`` is called once, at the nodes, and grad delta is
+    (D_u, D_v) there, D_u = z_uu w_v + z_u w_uv - w_uu z_v - w_u z_uv and
+    D_v likewise.  Otherwise grad delta is a difference of delta to the
+    next fine node along u and along v (the previous one at the rim of a
+    chart that is not periodic): it measures the gradient half a cell
+    away, with O(h^2) error like a central difference."""
+    u, v = np.broadcast_arrays(*_node_coordinates(chart, us, vs, i, j))
+    if chart.jet is not None:
+        # copies: the chart gets writable arrays, not broadcast views
+        (zu, wu), (zv, wv), (zuu, wuu), (zuv, wuv), (zvv, wvv) = map(_as_complex_pair, chart.jet(u.copy(), v.copy()))
+        at_nodes = zu, wu, zv, wv
+        d = _delta(at_nodes)
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_u = zuu * wv + zu * wuv - wuu * zv - wu * zuv
+            d_v = zuv * wv + zu * wvv - wuv * zv - wu * zvv
+            grad = np.hypot(np.abs(d_u), np.abs(d_v))
+    else:
+        grid = len(us) - 1
+        iu, su = _next_node(i, grid, chart.periodic_u)
+        jv, sv = _next_node(j, grid, chart.periodic_v)
+        # the nodes and their neighbours along u and along v, in one call
+        pairs = [(u, v)] + [np.broadcast_arrays(*_node_coordinates(chart, us, vs, *n)) for n in ((iu, j), (i, jv))]
+        partials = _partials(chart, np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs]), *h)
+        d, d_u, d_v = _delta(partials)
+        zu, wu, zv, wv = at_nodes = [x[0] for x in partials]
+        with np.errstate(over="ignore", invalid="ignore"):
+            grad = np.hypot(np.abs(d_u - d) / (su * h[0]), np.abs(d_v - d) / (sv * h[1]))
+    _check_immersion(chart_index, u, v, at_nodes)
     with np.errstate(over="ignore", invalid="ignore"):
-        grad = np.hypot(np.abs(d_u - d) / (su * h[0]), np.abs(d_v - d) / (sv * h[1]))
         span = np.hypot(np.abs(zu), np.abs(wu)) * np.hypot(np.abs(zv), np.abs(wv))
     return d, grad, span
 
@@ -870,7 +895,12 @@ def flat_torus() -> ParametrizedSurface:
     def d_dv(u, v):
         return 0j * u, 1j * np.exp(1j * v)
 
-    chart = Chart(ev, (0.0, _TWO_PI), (0.0, _TWO_PI), True, True, d_du, d_dv, None, "torus")
+    def jet(u, v):
+        # F_uu = (i z_u, 0), F_uv = 0, F_vv = (0, i w_v)
+        (zu, wu), (zv, wv) = d_du(u, v), d_dv(u, v)
+        return (zu, wu), (zv, wv), (1j * zu, wu), (zv, wu), (zv, 1j * wv)
+
+    chart = Chart(ev, (0.0, _TWO_PI), (0.0, _TWO_PI), True, True, d_du, d_dv, None, "torus", jet)
     return ParametrizedSurface("flat-torus", (chart,), True, True, 0, 0)
 
 
@@ -894,24 +924,47 @@ def _stereo_chart(south: bool, eps: float) -> Chart:
             w = w + eps * (z * z).real
         return z, w + 0j
 
-    def partial(u, v, x, direction):
-        # d(z, w)/dx for the parameter x that moves u + iv along `direction`
+    def at(u, v):
+        # d = 1 + |zeta|^2, zeta and z = 2 zeta / d
         d = 1.0 + (u * u + v * v)
         zeta = conj(u + 1j * v)
-        z = 2.0 * zeta / d
+        return d, zeta, 2.0 * zeta / d
+
+    def partial(d, zeta, z, x, direction):
+        # d(z, w)/dx for the parameter x that moves u + iv along `direction`
         zx = 2.0 * (conj(direction) * d - 2.0 * x * zeta) / d**2
         wx = -sign * 4.0 * x / d**2
         if eps:
             wx = wx + eps * 2.0 * (z * zx).real
         return zx, wx + 0j
 
+    def jet(u, v):
+        d, zeta, z = at(u, v)
+        fu, fv = partial(d, zeta, z, u, 1), partial(d, zeta, z, v, 1j)
+        # with k = 4 / d^2, r_xy = 4 x y / d - [x = y] and directions e_u = 1,
+        # e_v = i: z_xy = k (zeta r_xy - conj(e_x) y - conj(e_y) x) and
+        # w_xy = sign k r_xy, plus the wrinkle's 2 eps Re(z_x z_y + z z_xy)
+        k, q, ev = 4.0 / d**2, 4.0 / d, conj(1j)
+        second = []
+        for zx, zy, rxy, cross in (
+            (fu[0], fu[0], q * u * u - 1.0, 2.0 * u),
+            (fu[0], fv[0], q * u * v, v + ev * u),
+            (fv[0], fv[0], q * v * v - 1.0, 2.0 * ev * v),
+        ):
+            zxy = k * (zeta * rxy - cross)
+            wxy = sign * k * rxy
+            if eps:
+                wxy = wxy + eps * 2.0 * (zx * zy + z * zxy).real
+            second.append((zxy, wxy + 0j))
+        return fu, fv, *second
+
     if south:
         owns = lambda u, v: u * u + v * v < 1.0      # open south hemisphere
     else:
         owns = lambda u, v: u * u + v * v <= 1.0     # closed north hemisphere
     label = "south" if south else "north"
-    d_du, d_dv = (lambda u, v: partial(u, v, u, 1)), (lambda u, v: partial(u, v, v, 1j))
-    return Chart(ev, (-1.15, 1.15), (-1.15, 1.15), False, False, d_du, d_dv, owns, label)
+    d_du, d_dv = (lambda u, v: partial(*at(u, v), u, 1)), (lambda u, v: partial(*at(u, v), v, 1j))
+    return Chart(ev, (-1.15, 1.15), (-1.15, 1.15), False, False, d_du, d_dv, owns, label, jet)
 
 
 def round_sphere() -> ParametrizedSurface:
@@ -946,18 +999,23 @@ def graph_normal_form(alpha: float) -> ParametrizedSurface:
             w = a * (u * u + v * v) + (u * u - v * v)
         return z, w + 0j
 
+    # w_uu and w_vv, constants
+    wuu, wvv = (2.0, 2.0) if math.isinf(a) else (2.0 * (a + 1.0), 2.0 * (a - 1.0))
+
     def d_du(u, v):
         one = u * 0 + 1.0
-        wu = 2.0 * u if math.isinf(a) else 2.0 * (a + 1.0) * u
-        return one + 0j, wu + 0j
+        return one + 0j, wuu * u + 0j
 
     def d_dv(u, v):
         one = u * 0 + 1.0
-        wv = 2.0 * v if math.isinf(a) else 2.0 * (a - 1.0) * v
-        return 1j * one, wv + 0j
+        return 1j * one, wvv * v + 0j
+
+    def jet(u, v):
+        zero = 0j * u
+        return d_du(u, v), d_dv(u, v), (zero, wuu + zero), (zero, zero), (zero, wvv + zero)
 
     label = f"graph-normal-form:{alpha}"
-    chart = Chart(ev, (-0.8, 0.8), (-0.8, 0.8), False, False, d_du, d_dv, None, "graph")
+    chart = Chart(ev, (-0.8, 0.8), (-0.8, 0.8), False, False, d_du, d_dv, None, "graph", jet)
     return ParametrizedSurface(label, (chart,), True, False, None, None)
 
 

@@ -145,7 +145,9 @@ class AmbientRecipe:
         try:
             return by_name(self.base, self.blow_ups)
         except ValueError as exc:
-            raise MalformedCertificate(str(exc)) from None
+            # by_name checks the blow-up count before the base
+            field = "blow_ups" if self.blow_ups < 0 else "base"
+            raise MalformedCertificate(f"ambient.{field}: {exc}") from None
 
 
 @dataclass(frozen=True)

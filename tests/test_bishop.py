@@ -38,6 +38,7 @@ from realsurf.bishop import (
     _grid_pass,
     _newton,
     _partials,
+    _samples,
     _windings,
 )
 
@@ -390,8 +391,9 @@ def test_finite_difference_fallback_matches_analytic():
 
 @pytest.mark.parametrize("make", [wrinkled_sphere, _fd_round_sphere])
 def test_chart_callables_only_see_arrays(make):
-    """One evaluation path: every evaluate / d_du / d_dv call of a scan gets
-    numpy arrays, and watching the calls does not change the report."""
+    """One evaluation path: every evaluate / d_du / d_dv / jet call of a
+    scan gets numpy arrays, and watching the calls does not change the
+    report."""
     seen = []
 
     def watched(fn):
@@ -405,7 +407,7 @@ def test_chart_callables_only_see_arrays(make):
     charts = tuple(
         dataclasses.replace(
             c,
-            **{f: watched(getattr(c, f)) for f in ("evaluate", "d_du", "d_dv") if getattr(c, f) is not None},
+            **{f: watched(getattr(c, f)) for f in ("evaluate", "d_du", "d_dv", "jet") if getattr(c, f) is not None},
         )
         for c in surface.charts
     )
@@ -413,6 +415,106 @@ def test_chart_callables_only_see_arrays(make):
     assert seen
     assert all(tu is np.ndarray and tv is np.ndarray for tu, tv in seen)
     assert rep == survey(make(), 128)
+
+
+# every builtin chart, each with a jet: both stereographic hemispheres
+# with and without the wrinkle, and both forms of the graph
+_JET_CHARTS = {
+    "torus": lambda: flat_torus().charts[0],
+    "graph-2": lambda: graph_normal_form(2.0).charts[0],
+    "graph-inf": lambda: graph_normal_form(math.inf).charts[0],
+    **{
+        f"{hemisphere}-eps-{eps}": lambda k=k, eps=eps: wrinkled_sphere(eps).charts[k]
+        for k, hemisphere in enumerate(("north", "south"))
+        for eps in (0.0, 0.7)
+    },
+}
+
+
+def _jet_points(chart, seed):
+    """Seeded parameters over the chart padded by one cell of grid 8 on
+    every side, with rows and columns on its edges and on the padded
+    edges (on the torus, the seam and past it)."""
+    rng = np.random.default_rng(seed)
+    (u0, u1), (v0, v1) = chart.u_range, chart.v_range
+    pu, pv = (u1 - u0) / 8, (v1 - v0) / 8
+    u = rng.uniform(u0 - pu, u1 + pu, (16, 16))
+    v = rng.uniform(v0 - pv, v1 + pv, (16, 16))
+    u[:4] = np.array([u0, u1, u0 - pu, u1 + pu])[:, None]
+    v[:, :4] = np.array([v0, v1, v0 - pv, v1 + pv])
+    return u, v
+
+
+@pytest.mark.parametrize("name", list(_JET_CHARTS))
+def test_jet_first_partials_are_bitwise_the_charts_partials(name):
+    chart = _JET_CHARTS[name]()
+    u, v = _jet_points(chart, 7)
+    fu, fv, *_ = chart.jet(u, v)
+    for got, want in zip((*fu, *fv), (*chart.d_du(u, v), *chart.d_dv(u, v))):
+        assert np.asarray(got, dtype=complex).tobytes() == np.asarray(want, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("name", list(_JET_CHARTS))
+def test_jet_second_partials_match_central_differences(name):
+    chart = _JET_CHARTS[name]()
+    u, v = _jet_points(chart, 11)
+    _, _, fuu, fuv, fvv = chart.jet(u, v)
+    step = 1e-6
+
+    def central(partial, du, dv):
+        ahead, behind = partial(u + du, v + dv), partial(u - du, v - dv)
+        return [(np.asarray(a) - np.asarray(b)) / (2 * step) for a, b in zip(ahead, behind)]
+
+    # F_uv is checked as the v-derivative of F_u and the u-derivative of F_v
+    pairs = [
+        (fuu, central(chart.d_du, step, 0.0)),
+        (fuv, central(chart.d_du, 0.0, step)),
+        (fuv, central(chart.d_dv, step, 0.0)),
+        (fvv, central(chart.d_dv, 0.0, step)),
+    ]
+    scale = max(np.max(np.abs(x)) for jet, _ in pairs for x in jet)
+    for jet, differences in pairs:
+        for got, want in zip(jet, differences):
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6 * scale)
+
+
+@pytest.mark.parametrize("name", list(_JET_CHARTS))
+def test_samples_read_grad_delta_from_the_jet(name):
+    # |grad delta| at every 4th node of grid 64, the rim included, against
+    # central differences of delta
+    chart = _JET_CHARTS[name]()
+    us, vs, h, _, _ = _grid_pass(chart, 64, 0, DEFAULT_TOLERANCES.zero_rel)
+    i, j = np.arange(0, 65, 4)[:, None], np.arange(0, 65, 4)[None, :]
+    _, grad, _ = _samples(chart, us, vs, h, 0, i, j)
+    u, v = np.broadcast_arrays(us[i], vs[j])
+    step = 1e-6
+
+    def delta(du, dv):
+        return _delta(_partials(chart, u + du, v + dv, *h))
+
+    d_u = (delta(step, 0.0) - delta(-step, 0.0)) / (2 * step)
+    d_v = (delta(0.0, step) - delta(0.0, -step)) / (2 * step)
+    np.testing.assert_allclose(grad, np.hypot(np.abs(d_u), np.abs(d_v)), rtol=1e-6, atol=1e-6 * grad.max())
+
+
+@pytest.mark.parametrize("name", ["torus", "graph-2", "north-eps-0.7"])
+def test_coarse_pass_calls_the_jet_once_per_sample(name):
+    # grid 512: 65^2 coarse corner samples and 64^2 middle ones, one jet
+    # call each and nothing else
+    chart = _JET_CHARTS[name]()
+    us, vs, h, _, _ = _grid_pass(chart, 512, 0, DEFAULT_TOLERANCES.zero_rel)
+    nodes = dict.fromkeys(("evaluate", "d_du", "d_dv", "jet"), 0)
+
+    def counted(field):
+        def call(u, v):
+            nodes[field] += np.size(u)
+            return getattr(chart, field)(u, v)
+
+        return call
+
+    watched = dataclasses.replace(chart, **{field: counted(field) for field in nodes})
+    _coarse_pass(watched, us, vs, h, 0, DEFAULT_TOLERANCES.zero_rel)
+    assert nodes == {"evaluate": 0, "d_du": 0, "d_dv": 0, "jet": 65**2 + 64**2}
 
 
 def test_immersion_failure_detected():
@@ -560,8 +662,12 @@ def test_zero_at_grid_node_is_flagged_with_no_zero_floor(model):
         find_complex_points(surface, 64, Tolerances(zero_rel=0.0))
 
 
-def _detector_chart(detector):
-    """F_u = (1, 0), F_v = (i, delta) over [-1, 1]^2: the detector is delta itself."""
+def _detector_chart(detector, gradient=None):
+    """F_u = (1, 0), F_v = (i, delta) over [-1, 1]^2: the detector is delta
+    itself.  With ``gradient`` (u, v) -> (d delta/du, d delta/dv) the chart
+    has a jet.  F_u and F_v are not the partials of one map, so the jet is
+    second-order data whose D_u and D_v are that gradient: F_uu =
+    (0, i delta_u), F_uv = 0 and F_vv = (0, delta_v)."""
 
     def ev(u, v):
         return u + 1j * v, 0j * u
@@ -572,7 +678,12 @@ def _detector_chart(detector):
     def d_dv(u, v):
         return 1j + 0j * u, detector(u, v)
 
-    return Chart(ev, (-1.0, 1.0), (-1.0, 1.0), False, False, d_du, d_dv)
+    def jet(u, v):
+        zero = 0j * u
+        delta_u, delta_v = gradient(u, v)
+        return d_du(u, v), d_dv(u, v), (zero, 1j * delta_u), (zero, zero), (zero, delta_v)
+
+    return Chart(ev, (-1.0, 1.0), (-1.0, 1.0), False, False, d_du, d_dv, jet=None if gradient is None else jet)
 
 
 # a pair of zeros 0.44 cells apart in neighbouring cells of the shifted
@@ -665,13 +776,18 @@ def _dip_zeros():
     return roots
 
 
-@pytest.mark.parametrize("grid", [256, 512])
-def test_coarse_pass_resolves_a_dip_two_fine_cells_wide(grid):
+@pytest.mark.parametrize(
+    "grid, with_jet",
+    [(256, False), (512, False), (256, True), (512, True)],
+    ids=["256", "512", "256-jet", "512-jet"],
+)
+def test_coarse_pass_resolves_a_dip_two_fine_cells_wide(grid, with_jet):
     # delta = 1 + 4 w exp(-|w|^2), w = (z - a) / sigma: a dip of width sigma
     # = 2 fine cells (a quarter of a coarse cell) holding an elliptic and a
     # hyperbolic zero 1.0 sigma apart, at w = -t for the roots t of
     # t exp(-t^2) = 1/4; elsewhere delta is about 1, so the dip is all that
-    # keeps its coarse cells
+    # keeps its coarse cells.  The coarse pass reads grad delta from the
+    # chart's jet, or without one from differences of delta
     sigma = 2 * (2.0 / grid)
     rng = random.Random(grid)
     for _ in range(20):
@@ -681,7 +797,14 @@ def test_coarse_pass_resolves_a_dip_two_fine_cells_wide(grid):
             w = (u + 1j * v - a) / sigma
             return 1 + 4 * w * np.exp(-np.abs(w) ** 2)
 
-        surface = ParametrizedSurface("dip", (_detector_chart(dip),), True, False, None, None)
+        def dip_gradient(u, v, a=a):
+            # d/du and d/dv of 4 w exp(-|w|^2), with dw/du = 1/sigma, dw/dv = i/sigma
+            w = (u + 1j * v - a) / sigma
+            e = 4 * np.exp(-np.abs(w) ** 2) / sigma
+            return e * (1 - 2 * w * w.real), e * (1j - 2 * w * w.imag)
+
+        chart = _detector_chart(dip, dip_gradient if with_jet else None)
+        surface = ParametrizedSurface("dip", (chart,), True, False, None, None)
         points = sorted(find_complex_points(surface, grid), key=lambda p: p.winding_index)
         assert [p.winding_index for p in points] == [-1, 1]
         near, far = _dip_zeros()
@@ -863,7 +986,11 @@ def test_strip_lattice_equals_whole_lattice(surface, grid):
             whole[:, -1] = whole[:, 0]
         watched, calls = _recording_partials(chart)
         ci, cj, _, kept = _coarse_pass(watched, us, vs, h, index, zero_rel)
-        # the first call holds the coarse nodes, then their neighbours
+        # a jet's first call holds the coarse nodes
+        assert calls[0].tobytes() == whole[np.ix_(ci, cj)].tobytes()
+        calls.clear()
+        _coarse_pass(dataclasses.replace(watched, jet=None), us, vs, h, index, zero_rel)
+        # without the jet the first call holds the coarse nodes, then their neighbours
         assert calls[0][0].tobytes() == whole[np.ix_(ci, cj)].tobytes()
         # every coarse cell kept: the blocks then cover the whole lattice
         calls.clear()
@@ -878,10 +1005,13 @@ def test_strip_lattice_equals_whole_lattice(surface, grid):
 
 
 def _recording_partials(chart):
-    """A copy of the chart whose d_du and d_dv record their calls, and the
-    list that gets the delta of each call's nodes."""
+    """A copy of the chart whose d_du, d_dv and jet record their calls, and
+    the list that gets the delta of each call's nodes."""
     calls = []
     last = {}
+
+    def record(fu, fv):
+        calls.append(_delta([np.asarray(x, dtype=complex) for x in (*fu, *fv)]))
 
     def d_du(u, v):
         last["du"] = chart.d_du(u, v)
@@ -889,10 +1019,15 @@ def _recording_partials(chart):
 
     def d_dv(u, v):
         out = chart.d_dv(u, v)
-        calls.append(_delta([np.asarray(x, dtype=complex) for x in (*last.pop("du"), *out)]))
+        record(last.pop("du"), out)
         return out
 
-    return dataclasses.replace(chart, d_du=d_du, d_dv=d_dv), calls
+    def jet(u, v):
+        out = chart.jet(u, v)
+        record(*out[:2])
+        return out
+
+    return dataclasses.replace(chart, d_du=d_du, d_dv=d_dv, jet=jet), calls
 
 
 def test_immersion_failure_past_the_first_strip_names_the_first_bad_node():

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 import sys
 import time
 from pathlib import Path
@@ -285,6 +286,21 @@ def test_malformed_index_reuse_and_leftovers():
         verify_certificate(
             Certificate(AmbientRecipe("K3"), (UseNamedClass("zap", 2),), claimed)
         )
+
+
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        (AmbientRecipe("K9"), "ambient.base: unknown ambient surface 'K9'"),
+        (AmbientRecipe("E(0)"), "ambient.base: E(n) requires n >= 1, got 0"),
+        (AmbientRecipe("K3", -1), "ambient.blow_ups: blow-up count must be nonnegative"),
+    ],
+    ids=["unknown", "e0", "negative-blow-ups"],
+)
+def test_ambient_recipe_errors_name_their_field(recipe, message):
+    claimed = Claims(True, 2, -2, None, 0, None, None)
+    with pytest.raises(MalformedCertificate, match=re.escape(message)):
+        verify_certificate(Certificate(recipe, (UseNamedClass("s", 2),), claimed))
 
 
 def test_malformed_base_step_kind_and_operand_index_are_named():

@@ -9,6 +9,7 @@ depend on the floating-point results of the numpy build they were made
 with.
 """
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -33,12 +34,14 @@ SURFACES = {
 }
 
 
-def _digests(name):
+def _digests(name, grids=GRIDS, jet=True):
     make, *args = SURFACES[name]
     surface = make(*args)
+    if not jet:
+        surface = dataclasses.replace(surface, charts=tuple(dataclasses.replace(c, jet=None) for c in surface.charts))
     return {
         f"{name}@{grid}": hashlib.sha256(repr(find_complex_points(surface, grid)).encode()).hexdigest()
-        for grid in GRIDS
+        for grid in grids
     }
 
 
@@ -53,6 +56,18 @@ def test_reports_match_the_pin(name):
     pin = json.loads(PIN.read_text())
     changed = [case for case, digest in _digests(name).items() if pin[case] != digest]
     assert not changed, f"scanner reports changed for {changed}"
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["wrinkled-sphere:0.35", "wrinkled-sphere:0.6", "round-sphere", "flat-torus", "graph-normal-form:2.0"],
+)
+def test_charts_without_a_jet_match_the_pin(name):
+    """A chart without a jet takes the coarse pass's difference branch,
+    which must reproduce the pinned reports of the builtin surfaces."""
+    pin = json.loads(PIN.read_text())
+    changed = [case for case, digest in _digests(name, (64, 256), jet=False).items() if pin[case] != digest]
+    assert not changed, f"scanner reports changed without the jet for {changed}"
 
 
 if __name__ == "__main__":
