@@ -176,9 +176,7 @@ class Chart:
 
     ``evaluate`` maps (u, v) to a point (z, w) of C^2, elementwise on
     numpy arrays: the scan always calls it with two float arrays of the
-    same shape (0-d included), never with Python floats.  It must
-    tolerate arguments up to one grid cell outside the nominal rectangle
-    (the scan pads for offsets and finite differences).  ``d_du`` /
+    same shape (0-d included), never with Python floats.  ``d_du`` /
     ``d_dv`` are optional analytic partials with the same calling
     convention; when absent the scan falls back to central differences,
     with the grid spacing as step on the grid and in refinement (error
@@ -188,13 +186,20 @@ class Chart:
     several charts cover the surface the predicates must partition it,
     so each complex point is reported exactly once.
 
-    ``jet(u, v)`` is optional, for a chart that has ``d_du`` and ``d_dv``,
-    with their calling convention: it returns (F_u, F_v, F_uu, F_uv, F_vv),
-    each a (z, w) pair of arrays, and its F_u and F_v must be bitwise
-    ``d_du`` and ``d_dv`` at the same arrays (the coarse pass then sees
-    the delta the fine pass and Newton see).  Only the coarse pass reads
-    it, for grad delta at its samples; without it the coarse pass takes
-    differences of delta to the next fine node.
+    ``jet(u, v)`` is optional, for a chart that has ``d_du`` and ``d_dv``
+    (a jet without both raises ``ValueError``), with their calling
+    convention: it returns (F_u, F_v, F_uu, F_uv, F_vv), each a (z, w)
+    pair of arrays, and its F_u and F_v must be bitwise ``d_du`` and
+    ``d_dv`` at the same arrays (the coarse pass then sees the delta the
+    fine pass and Newton see).  Only the coarse pass reads it, for grad
+    delta at its samples; without it the coarse pass takes central
+    differences of delta a grid cell either side of each sample.
+
+    Every callable must tolerate arguments up to 2.6 grid cells outside
+    the nominal rectangle along each axis: the shifted grid's last nodes
+    lie 0.32 cells out, a chart without a jet has its partials read a
+    cell past them and one without partials is evaluated a cell further,
+    and Newton's unconfined fallback may move 2 cells from its box.
     """
 
     evaluate: Callable
@@ -207,6 +212,10 @@ class Chart:
     owns: Callable | None = None
     label: str = ""
     jet: Callable | None = None
+
+    def __post_init__(self):
+        if self.jet is not None and (self.d_du is None or self.d_dv is None):
+            raise ValueError(f"chart {self.label!r} has a jet but not both d_du and d_dv")
 
 
 @dataclass
@@ -354,12 +363,12 @@ def _coarse_pass(chart: Chart, us, vs, h, chart_index: int, zero_rel: float):
     fine node m, and cleared when |delta(m)| > L r + 1e-6 P, with
     L = 2 max |grad delta| and P = 2 max |F_u| |F_v| over the five
     samples and r the distance from m to the farthest corner (grad delta
-    from ``_samples``: the chart's jet at the sample, or a difference to
-    the next fine node).  L r estimates how far delta can fall from m; it
-    is a bound only where delta varies on scales above the samples'
-    spacing.  The middle sample halves the distance from a point of the
-    cell to the nearest gradient sample, so a feature about two fine
-    cells wide anywhere in the cell raises L.  The P term keeps the
+    from ``_samples``: the chart's jet at the sample, or a central
+    difference over a fine cell either side).  L r estimates how far
+    delta can fall from m; it is a bound only where delta varies on
+    scales above the samples' spacing.  The middle sample halves the
+    distance from a point of the cell to the nearest gradient sample, so
+    a feature about two fine cells wide anywhere in the cell raises L.  The P term keeps the
     immersion check sound: by Lagrange's identity the Gram determinant of
     the partials is Im<F_u, F_v>^2 + |delta|^2, so a node that fails the
     check has |delta| < 1e-6 |F_u| |F_v|, and a cleared cell holds none.
@@ -391,12 +400,13 @@ def _samples(chart: Chart, us, vs, h, chart_index: int, i, j):
     immersion.
     A chart with a ``jet`` is called once, at the nodes, and grad delta is
     (D_u, D_v) there, D_u = z_uu w_v + z_u w_uv - w_uu z_v - w_u z_uv and
-    D_v likewise.  Otherwise grad delta is a difference of delta to the
-    next fine node along u and along v (the previous one at the rim of a
-    chart that is not periodic): it measures the gradient half a cell
-    away, with O(h^2) error like a central difference."""
+    D_v likewise.  Otherwise grad delta is ``_probe``'s central difference
+    with the grid spacing as steps: the partials at each node and at its
+    four neighbours a cell away, in one call."""
     u, v = np.broadcast_arrays(*_node_coordinates(chart, us, vs, i, j))
-    if chart.jet is not None:
+    if chart.jet is None:
+        at_nodes, d, d_u, d_v = _probe(chart, u, v, *h)
+    else:
         # copies: the chart gets writable arrays, not broadcast views
         (zu, wu), (zv, wv), (zuu, wuu), (zuv, wuv), (zvv, wvv) = map(_as_complex_pair, chart.jet(u.copy(), v.copy()))
         at_nodes = zu, wu, zv, wv
@@ -404,31 +414,12 @@ def _samples(chart: Chart, us, vs, h, chart_index: int, i, j):
         with np.errstate(over="ignore", invalid="ignore"):
             d_u = zuu * wv + zu * wuv - wuu * zv - wu * zuv
             d_v = zuv * wv + zu * wvv - wuv * zv - wu * zvv
-            grad = np.hypot(np.abs(d_u), np.abs(d_v))
-    else:
-        grid = len(us) - 1
-        iu, su = _next_node(i, grid, chart.periodic_u)
-        jv, sv = _next_node(j, grid, chart.periodic_v)
-        # the nodes and their neighbours along u and along v, in one call
-        pairs = [(u, v)] + [np.broadcast_arrays(*_node_coordinates(chart, us, vs, *n)) for n in ((iu, j), (i, jv))]
-        partials = _partials(chart, np.stack([a for a, _ in pairs]), np.stack([b for _, b in pairs]), *h)
-        d, d_u, d_v = _delta(partials)
-        zu, wu, zv, wv = at_nodes = [x[0] for x in partials]
-        with np.errstate(over="ignore", invalid="ignore"):
-            grad = np.hypot(np.abs(d_u - d) / (su * h[0]), np.abs(d_v - d) / (sv * h[1]))
     _check_immersion(chart_index, u, v, at_nodes)
+    zu, wu, zv, wv = at_nodes
     with np.errstate(over="ignore", invalid="ignore"):
+        grad = np.hypot(np.abs(d_u), np.abs(d_v))
         span = np.hypot(np.abs(zu), np.abs(wu)) * np.hypot(np.abs(zv), np.abs(wv))
     return d, grad, span
-
-
-def _next_node(c, grid, periodic):
-    """The neighbour c + 1 of fine indices c (c - 1 at the rim of an axis
-    that is not periodic), and the signed step to it in cells."""
-    if periodic:
-        return c + 1, 1
-    last = c == grid
-    return np.where(last, c - 1, c + 1), np.where(last, -1, 1)
 
 
 def _fine_pass(chart: Chart, us, vs, h, chart_index: int, ci, cj, kept, zero_floor, scale):
@@ -571,11 +562,13 @@ def _windings(chart: Chart, rects, h) -> np.ndarray:
         owner = np.repeat(np.arange(len(batch)), 4)
         total = np.zeros(len(batch))
         spent = np.zeros(len(batch), dtype=int)
-        while len(owner):
+        while True:
             step = _wrap(b[:, 2] - a[:, 2])
             settled = np.abs(step) <= _SETTLED
             total += np.bincount(owner[settled], weights=step[settled], minlength=len(batch))
             a, b, owner = a[~settled], b[~settled], owner[~settled]
+            if not len(owner):
+                break
             spent += np.bincount(owner, minlength=len(batch))
             if np.any(spent >= _BUDGET):
                 raise UnresolvedCluster("phase along a cell boundary failed to settle")
@@ -655,14 +648,15 @@ def _centres(rects):
     return (rects[:, 0] + rects[:, 1]) / 2, (rects[:, 2] + rects[:, 3]) / 2
 
 
-def _probe(chart: Chart, u, v, step: float):
-    """The partials at points u, v (arrays) and at their four neighbours a
-    probe step away, in one call, the stencil on a last axis (a chart
-    without analytic partials gets central differences of that step);
-    and delta at the points and its partials D_u, D_v."""
-    partials = _partials(chart, u[..., None] + step * _PROBE[0], v[..., None] + step * _PROBE[1], step, step)
+def _probe(chart: Chart, u, v, hu: float, hv: float):
+    """The partials and delta at points u, v (arrays), and D_u, D_v as
+    central differences of delta with steps hu, hv: one call of the
+    partials at the points and their four neighbours (differences of F
+    with the same steps on a chart without analytic partials)."""
+    partials = _partials(chart, u[..., None] + hu * _PROBE[0], v[..., None] + hv * _PROBE[1], hu, hv)
     d = _delta(partials)
-    return partials, d[..., 0], (d[..., 1] - d[..., 2]) / (2 * step), (d[..., 3] - d[..., 4]) / (2 * step)
+    d_u, d_v = (d[..., 1] - d[..., 2]) / (2 * hu), (d[..., 3] - d[..., 4]) / (2 * hv)
+    return [x[..., 0] for x in partials], d[..., 0], d_u, d_v
 
 
 def _unique(chart: Chart, rects, step: float):
@@ -676,7 +670,8 @@ def _unique(chart: Chart, rects, step: float):
         return np.zeros(0, dtype=bool)
     ua, ub, va, vb = rects.T
     cu, cv = _centres(rects)
-    _, _, du, dv = _probe(chart, np.column_stack([cu, ua, ub, ub, ua]), np.column_stack([cv, va, va, vb, vb]), step)
+    u, v = np.column_stack([cu, ua, ub, ub, ua]), np.column_stack([cv, va, va, vb, vb])
+    _, _, du, dv = _probe(chart, u, v, step, step)
     with np.errstate(all="ignore"):
         factor = _unit_factor(np.maximum(np.abs(du[:, :1]), np.abs(dv[:, :1])))
         du, dv = du * factor, dv * factor
@@ -701,7 +696,7 @@ def _newton(chart: Chart, u, v, cell: float, step: float, stop: float, rects=Non
     for _ in range(_NEWTON_STEPS):
         if done.all():
             break
-        _, d, du_, dv_ = _probe(chart, u, v, step)
+        _, d, du_, dv_ = _probe(chart, u, v, step, step)
         with np.errstate(all="ignore"):
             done |= np.abs(d) <= stop
             # bring max(|D_u|, |D_v|) into [1/2, 1): exact, and the 2x2
@@ -726,7 +721,7 @@ def _newton(chart: Chart, u, v, cell: float, step: float, stop: float, rects=Non
     return u, v, inside
 
 
-def _sign_and_jet(partials, du: complex, dv: complex) -> tuple[int, Jet2]:
+def _sign_and_jet(partials, du: complex, dv: complex, chart_index: int, u: float, v: float) -> tuple[int, Jet2]:
     """Sign and quadratic jet of a complex point from a ``_probe`` at it.
 
     In the tangent-line coordinate z = <F - F0, t>, t = F_u / |F_u|, the
@@ -735,11 +730,14 @@ def _sign_and_jet(partials, du: complex, dv: complex) -> tuple[int, Jet2]:
     linearizes delta = p z + q zbar, and delta = -2i (b z + 2 c zbar) on
     the graph w = a z^2 + b z zbar + c zbar^2 gives the jet.
     """
-    zu, wu, zv, wv = (complex(x[0]) for x in partials)
+    zu, wu, zv, wv = map(complex, partials)
     A = math.sqrt(abs(zu) ** 2 + abs(wu) ** 2)
     B = (zv * zu.conjugate() + wv * wu.conjugate()) / A
     if B.imag == 0.0:
-        raise ImmersionFailure("tangent vectors are real-dependent at a detected point")
+        raise ImmersionFailure(
+            f"tangent vectors are real-dependent at the complex point near "
+            f"chart {chart_index} parameter ({u:.6g}, {v:.6g})"
+        )
     det = A * (B.conjugate() - B)
     p = (du * B.conjugate() - A * dv) / det
     q = (A * dv - B * du) / det
@@ -801,10 +799,10 @@ def find_complex_points(
             continue
         # the sign and jet of every owned point from one probe call, and
         # their positions from one evaluation
-        partials, _, du, dv = _probe(chart, u, v, step)
+        partials, _, du, dv = _probe(chart, u, v, step, step)
         z, w = _as_complex_pair(chart.evaluate(u, v))
         for k, (uk, vk, winding) in enumerate(zip(u.tolist(), v.tolist(), windings.tolist())):
-            sign, jet = _sign_and_jet([x[k] for x in partials], complex(du[k]), complex(dv[k]))
+            sign, jet = _sign_and_jet([x[k] for x in partials], complex(du[k]), complex(dv[k]), chart_index, uk, vk)
             alpha = bishop_alpha(jet, tol.zero_rel)
             ptype = classify(alpha, tol.parabolic_band)
             if not surface.orientable:

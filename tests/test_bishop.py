@@ -358,8 +358,8 @@ def test_survey_rejects_parabolic_points():
 
 
 def _fd_copy(surface):
-    """The surface with the analytic partials of its charts dropped."""
-    charts = tuple(dataclasses.replace(c, d_du=None, d_dv=None) for c in surface.charts)
+    """The surface with the analytic partials and the jet of its charts dropped."""
+    charts = tuple(dataclasses.replace(c, d_du=None, d_dv=None, jet=None) for c in surface.charts)
     return dataclasses.replace(surface, label=surface.label + "-fd", charts=charts)
 
 
@@ -392,13 +392,13 @@ def test_finite_difference_fallback_matches_analytic():
 @pytest.mark.parametrize("make", [wrinkled_sphere, _fd_round_sphere])
 def test_chart_callables_only_see_arrays(make):
     """One evaluation path: every evaluate / d_du / d_dv / jet call of a
-    scan gets numpy arrays, and watching the calls does not change the
-    report."""
+    scan gets nonempty numpy arrays, and watching the calls does not
+    change the report."""
     seen = []
 
     def watched(fn):
         def call(u, v):
-            seen.append((type(u), type(v)))
+            seen.append((type(u), type(v), np.size(u)))
             return fn(u, v)
 
         return call
@@ -413,8 +413,57 @@ def test_chart_callables_only_see_arrays(make):
     )
     rep = survey(dataclasses.replace(surface, charts=charts), 128)
     assert seen
-    assert all(tu is np.ndarray and tv is np.ndarray for tu, tv in seen)
+    assert all(tu is np.ndarray and tv is np.ndarray and size > 0 for tu, tv, size in seen)
     assert rep == survey(make(), 128)
+
+
+def _without_jet(surface):
+    """The surface with the jets of its charts dropped."""
+    return dataclasses.replace(surface, charts=tuple(dataclasses.replace(c, jet=None) for c in surface.charts))
+
+
+@pytest.mark.parametrize(
+    "make, reach",
+    [
+        (lambda: wrinkled_sphere(0.6), {"evaluate": None, "d_du": 0.0, "d_dv": 0.0, "jet": 0.0}),
+        (lambda: _without_jet(wrinkled_sphere(0.6)), {"evaluate": None, "d_du": 1.0, "d_dv": 1.0}),
+        (lambda: _fd_copy(wrinkled_sphere(0.6)), {"evaluate": 2.0}),
+    ],
+    ids=["jet", "no-jet", "no-partials"],
+)
+def test_chart_callables_stay_within_the_documented_padding(make, reach):
+    """Every argument the scan passes a chart's callables lies within 2.6
+    cells of the chart's rectangle (the ``Chart`` docstring).  The grid's
+    last nodes lie ``_GRID_SHIFT`` cells out; a chart without a jet has
+    its partials read a cell past them, and a chart without partials
+    differences F a further cell out.  ``evaluate`` of a chart with
+    partials is called only at located points, inside (reach None)."""
+    grid = 64
+    outside = {}
+
+    def watched(fn, field, chart):
+        (u0, u1), (v0, v1) = chart.u_range, chart.v_range
+        hu, hv = (u1 - u0) / grid, (v1 - v0) / grid
+
+        def call(u, v):
+            cells = max(np.max(u0 - u) / hu, np.max(u - u1) / hu, np.max(v0 - v) / hv, np.max(v - v1) / hv)
+            outside[field] = max(outside.get(field, -math.inf), cells)
+            return fn(u, v)
+
+        return call
+
+    surface = make()
+    charts = tuple(
+        dataclasses.replace(c, **{f: watched(getattr(c, f), f, c) for f in reach})
+        for c in surface.charts
+    )
+    assert len(find_complex_points(dataclasses.replace(surface, charts=charts), grid)) == 6
+    assert max(outside.values()) <= 2.6
+    for field, cells in reach.items():
+        if cells is None:
+            assert outside[field] <= 0.0
+        else:
+            assert outside[field] == pytest.approx(cells + _GRID_SHIFT, abs=1e-9)
 
 
 # every builtin chart, each with a jet: both stereographic hemispheres
@@ -443,6 +492,16 @@ def _jet_points(chart, seed):
     u[:4] = np.array([u0, u1, u0 - pu, u1 + pu])[:, None]
     v[:, :4] = np.array([v0, v1, v0 - pv, v1 + pv])
     return u, v
+
+
+@pytest.mark.parametrize("partials", [{"d_du": None}, {"d_dv": None}, {"d_du": None, "d_dv": None}])
+def test_a_jet_needs_both_partials(partials):
+    # the jet's F_u and F_v must be bitwise d_du and d_dv, which a chart
+    # without them cannot keep
+    chart = _JET_CHARTS["graph-2"]()
+    with pytest.raises(ValueError, match="has a jet but not both d_du and d_dv"):
+        dataclasses.replace(chart, **partials)
+    assert dataclasses.replace(chart, jet=None, **partials).jet is None
 
 
 @pytest.mark.parametrize("name", list(_JET_CHARTS))
@@ -515,6 +574,37 @@ def test_coarse_pass_calls_the_jet_once_per_sample(name):
     watched = dataclasses.replace(chart, **{field: counted(field) for field in nodes})
     _coarse_pass(watched, us, vs, h, 0, DEFAULT_TOLERANCES.zero_rel)
     assert nodes == {"evaluate": 0, "d_du": 0, "d_dv": 0, "jet": 65**2 + 64**2}
+
+
+@pytest.mark.parametrize("name", ["torus", "graph-2", "north-eps-0.7"])
+@pytest.mark.parametrize("partials", [True, False], ids=["partials", "no-partials"])
+def test_coarse_pass_without_a_jet_probes_five_points_per_sample(name, partials):
+    # grid 512: the partials at each of the 65^2 + 64^2 samples and at its
+    # four neighbours a cell away, one call for the corners and one for the
+    # middles; without partials each is four evaluations of F
+    chart = _JET_CHARTS[name]()
+    us, vs, h, _, _ = _grid_pass(chart, 512, 0, DEFAULT_TOLERANCES.zero_rel)
+    fields = ("evaluate", "d_du", "d_dv") if partials else ("evaluate",)
+    calls, nodes = dict.fromkeys(fields, 0), dict.fromkeys(fields, 0)
+
+    def counted(field):
+        def call(u, v):
+            calls[field] += 1
+            nodes[field] += np.size(u)
+            return getattr(chart, field)(u, v)
+
+        return call
+
+    watched = dataclasses.replace(chart, jet=None, **{field: counted(field) for field in fields})
+    if not partials:
+        watched = dataclasses.replace(watched, d_du=None, d_dv=None)
+    _coarse_pass(watched, us, vs, h, 0, DEFAULT_TOLERANCES.zero_rel)
+    samples = 5 * (65**2 + 64**2)
+    if partials:
+        assert calls == {"evaluate": 0, "d_du": 2, "d_dv": 2}
+        assert nodes == {"evaluate": 0, "d_du": samples, "d_dv": samples}
+    else:
+        assert (calls, nodes) == ({"evaluate": 8}, {"evaluate": 4 * samples})
 
 
 def test_immersion_failure_detected():
@@ -991,7 +1081,7 @@ def test_strip_lattice_equals_whole_lattice(surface, grid):
         calls.clear()
         _coarse_pass(dataclasses.replace(watched, jet=None), us, vs, h, index, zero_rel)
         # without the jet the first call holds the coarse nodes, then their neighbours
-        assert calls[0][0].tobytes() == whole[np.ix_(ci, cj)].tobytes()
+        assert calls[0][..., 0].tobytes() == whole[np.ix_(ci, cj)].tobytes()
         # every coarse cell kept: the blocks then cover the whole lattice
         calls.clear()
         _fine_pass(watched, us, vs, h, index, ci, cj, np.ones_like(kept), zero_rel * scale, scale)
@@ -1078,6 +1168,28 @@ def test_immersion_failure_between_coarse_samples_is_found():
     surface = ParametrizedSurface("pinched", (chart,), True, False, None, None)
     with pytest.raises(ImmersionFailure, match=f"parameter \\({us[21]:.6g}, {us[37]:.6g}\\)"):
         find_complex_points(surface, grid)
+
+
+def test_immersion_failure_at_a_located_point_names_it():
+    # F_u = (1, 0), F_v = (1, z - a): delta = z - a has a simple zero at a,
+    # where F_v = F_u.  The Gram determinant |z - a|^2 is small only near
+    # a, so the grid passes, and the sign at the located point fails
+    a = 0.1234 + 0.2345j
+
+    def ev(u, v):
+        return u + 1j * v, 0j * u
+
+    def d_du(u, v):
+        return 1.0 + 0j * u, 0j * u
+
+    def d_dv(u, v):
+        return 1.0 + 0j * u, u + 1j * v - a
+
+    chart = Chart(ev, (-1.0, 1.0), (-1.0, 1.0), False, False, d_du, d_dv)
+    surface = ParametrizedSurface("real-pair", (chart,), True, False, None, None)
+    message = r"real-dependent at the complex point near chart 0 parameter \(0\.1234, 0\.2345\)"
+    with pytest.raises(ImmersionFailure, match=message):
+        find_complex_points(surface, 64)
 
 
 def test_scan_is_deterministic():
