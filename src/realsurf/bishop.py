@@ -10,21 +10,21 @@ F(u, v) this happens exactly where
 vanishes (the two partials become complex-linearly dependent), so
 detection is zero-finding for delta: a coarse-to-fine grid pass (delta
 on every 8th node of the grid, a Lipschitz exclusion test per coarse
-cell whose grad delta comes from the chart's second-order jet where it
-has one, and the fine nodes only in the coarse cells it cannot clear),
+cell, and the fine nodes only in the coarse cells it cannot clear),
 winding-number tests on the fine cells left, and quadtree refinement
 that lets a box winding +-1 go once a uniqueness test and a batched
-Newton polish settle it.
+Newton polish settle it.  Every phase reads grad delta from
+``_probe``: the chart's second-order jet where it has one, a central
+difference of fixed step otherwise.
 
 At each zero the detector is linearized in the tangent-line coordinate
 z = <F - F(0), t>, t the unit complex tangent direction:
 
     delta = p z + q zbar + O(|z|^2)
 
-with p and q read off the central-difference Jacobian of delta that the
-Newton polish already takes.  For the graph w = A z^2 + B z zbar +
-C zbar^2 + O(|z|^3) over the tangent line, delta = -2i (B z + 2 C zbar)
-up to a nonzero factor, so
+with p and q read off grad delta at the zero.  For the graph
+w = A z^2 + B z zbar + C zbar^2 + O(|z|^3) over the tangent line,
+delta = -2i (B z + 2 C zbar) up to a nonzero factor, so
 
     alpha = |p| / |q| = |B| / (2 |C|)    (infinite for C = 0, degenerate for B = C = 0)
 
@@ -178,10 +178,9 @@ class Chart:
     numpy arrays: the scan always calls it with two float arrays of the
     same shape (0-d included), never with Python floats.  ``d_du`` /
     ``d_dv`` are optional analytic partials with the same calling
-    convention; when absent the scan falls back to central differences,
-    with the grid spacing as step on the grid and in refinement (error
-    O(h^2)) and, at a located zero, a fixed probe step of 5e-5 (at most
-    a tenth of a cell), which suits a chart of unit scale.  ``owns(u, v)``
+    convention; when absent the scan takes central differences of
+    ``evaluate`` with a fixed step of 5e-5, which suits a chart of unit
+    scale.  ``owns(u, v)``
     gets Python floats and is the chart's region of responsibility: when
     several charts cover the surface the predicates must partition it,
     so each complex point is reported exactly once.
@@ -190,16 +189,16 @@ class Chart:
     (a jet without both raises ``ValueError``), with their calling
     convention: it returns (F_u, F_v, F_uu, F_uv, F_vv), each a (z, w)
     pair of arrays, and its F_u and F_v must be bitwise ``d_du`` and
-    ``d_dv`` at the same arrays (the coarse pass then sees the delta the
-    fine pass and Newton see).  Only the coarse pass reads it, for grad
-    delta at its samples; without it the coarse pass takes central
-    differences of delta a grid cell either side of each sample.
+    ``d_dv`` at the same arrays (every phase then sees one delta).  The
+    scan reads grad delta from it wherever it needs it; without it grad
+    delta is a central difference of delta with the same 5e-5 step.
 
-    Every callable must tolerate arguments up to 2.6 grid cells outside
-    the nominal rectangle along each axis: the shifted grid's last nodes
-    lie 0.32 cells out, a chart without a jet has its partials read a
-    cell past them and one without partials is evaluated a cell further,
-    and Newton's unconfined fallback may move 2 cells from its box.
+    Every callable must tolerate arguments up to 2.32 grid cells and
+    1e-4 more outside the nominal rectangle along each axis: the shifted
+    grid's last nodes lie 0.32 cells out, Newton's unconfined fallback
+    may move 2 cells from its box, a chart without a jet has its
+    partials read a step past a point and one without partials is
+    evaluated a step further.
     """
 
     evaluate: Callable
@@ -290,6 +289,13 @@ _STRIDE = 8
 # nodes per strip of the fine pass (stacked blocks of kept coarse cells):
 # a strip's partials and their temporaries stay in cache
 _STRIP_NODES = 1 << 14
+# step of the central differences that stand in for a missing jet (of delta,
+# in ``_probe``) and missing partials (of F, in ``_partials``): nested, their
+# truncation error grows like h^2 and rounding error like 1e-16 / h^2, which
+# balance near 1e-4 on a chart of unit scale
+_FD_STEP = 5e-5
+# the point and its four central-difference neighbours, in steps
+_PROBE = np.array([[0, 1, -1, 0, 0], [0, 0, 0, 1, -1]])
 
 
 def _wrap(angles):
@@ -301,16 +307,17 @@ def _as_complex_pair(raw):
     return np.asarray(z, dtype=complex), np.asarray(w, dtype=complex)
 
 
-def _partials(chart: Chart, u, v, hu: float, hv: float):
+def _partials(chart: Chart, u, v):
     """(zu, wu, zv, wv) = dF/du, dF/dv at arrays u, v of any shape: the
-    chart's analytic partials, or central differences with steps hu, hv."""
+    chart's analytic partials, or central differences with step ``_FD_STEP``."""
     if chart.d_du is not None and chart.d_dv is not None:
         return (*_as_complex_pair(chart.d_du(u, v)), *_as_complex_pair(chart.d_dv(u, v)))
-    zp, wp = _as_complex_pair(chart.evaluate(u + hu, v))
-    zm, wm = _as_complex_pair(chart.evaluate(u - hu, v))
-    zq, wq = _as_complex_pair(chart.evaluate(u, v + hv))
-    zn, wn = _as_complex_pair(chart.evaluate(u, v - hv))
-    return (zp - zm) / (2 * hu), (wp - wm) / (2 * hu), (zq - zn) / (2 * hv), (wq - wn) / (2 * hv)
+    h = _FD_STEP
+    zp, wp = _as_complex_pair(chart.evaluate(u + h, v))
+    zm, wm = _as_complex_pair(chart.evaluate(u - h, v))
+    zq, wq = _as_complex_pair(chart.evaluate(u, v + h))
+    zn, wn = _as_complex_pair(chart.evaluate(u, v - h))
+    return (zp - zm) / (2 * h), (wp - wm) / (2 * h), (zq - zn) / (2 * h), (wq - wn) / (2 * h)
 
 
 def _delta(partials):
@@ -342,7 +349,7 @@ def _grid_pass(chart: Chart, grid: int, chart_index: int, zero_rel: float):
             f"detector vanishes on half the grid of chart {chart_index}; "
             "zeros are not isolated"
         )
-    cells = _fine_pass(chart, us, vs, h, chart_index, ci, cj, kept, zero_rel * scale, scale)
+    cells = _fine_pass(chart, us, vs, chart_index, ci, cj, kept, zero_rel * scale, scale)
     return us, vs, h, scale, cells
 
 
@@ -363,8 +370,7 @@ def _coarse_pass(chart: Chart, us, vs, h, chart_index: int, zero_rel: float):
     fine node m, and cleared when |delta(m)| > L r + 1e-6 P, with
     L = 2 max |grad delta| and P = 2 max |F_u| |F_v| over the five
     samples and r the distance from m to the farthest corner (grad delta
-    from ``_samples``: the chart's jet at the sample, or a central
-    difference over a fine cell either side).  L r estimates how far
+    from ``_probe`` at the samples).  L r estimates how far
     delta can fall from m; it is a bound only where delta varies on
     scales above the samples' spacing.  The middle sample halves the
     distance from a point of the cell to the nearest gradient sample, so
@@ -378,8 +384,8 @@ def _coarse_pass(chart: Chart, us, vs, h, chart_index: int, zero_rel: float):
     grid = len(us) - 1
     ci = cj = np.append(np.arange(0, grid, _STRIDE), grid)
     mi = mj = (ci[:-1] + ci[1:]) // 2
-    d, grad, span = _samples(chart, us, vs, h, chart_index, ci[:, None], cj[None, :])
-    dm, grad_m, span_m = _samples(chart, us, vs, h, chart_index, mi[:, None], mj[None, :])
+    d, grad, span = _samples(chart, us, vs, chart_index, ci[:, None], cj[None, :])
+    dm, grad_m, span_m = _samples(chart, us, vs, chart_index, mi[:, None], mj[None, :])
     modulus = np.abs(d)
     scale = float(np.median(modulus))
     zero_floor, factor = zero_rel * scale, _unit_factor(scale)
@@ -394,26 +400,13 @@ def _coarse_pass(chart: Chart, us, vs, h, chart_index: int, zero_rel: float):
     return ci, cj, scale, kept
 
 
-def _samples(chart: Chart, us, vs, h, chart_index: int, i, j):
+def _samples(chart: Chart, us, vs, chart_index: int, i, j):
     """Delta, |grad delta| and |F_u| |F_v| at the fine nodes i x j (index
-    columns (m, 1) and rows (1, n)), after checking those nodes for
-    immersion.
-    A chart with a ``jet`` is called once, at the nodes, and grad delta is
-    (D_u, D_v) there, D_u = z_uu w_v + z_u w_uv - w_uu z_v - w_u z_uv and
-    D_v likewise.  Otherwise grad delta is ``_probe``'s central difference
-    with the grid spacing as steps: the partials at each node and at its
-    four neighbours a cell away, in one call."""
-    u, v = np.broadcast_arrays(*_node_coordinates(chart, us, vs, i, j))
-    if chart.jet is None:
-        at_nodes, d, d_u, d_v = _probe(chart, u, v, *h)
-    else:
-        # copies: the chart gets writable arrays, not broadcast views
-        (zu, wu), (zv, wv), (zuu, wuu), (zuv, wuv), (zvv, wvv) = map(_as_complex_pair, chart.jet(u.copy(), v.copy()))
-        at_nodes = zu, wu, zv, wv
-        d = _delta(at_nodes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            d_u = zuu * wv + zu * wuv - wuu * zv - wu * zuv
-            d_v = zuv * wv + zu * wvv - wuv * zv - wu * zvv
+    columns (m, 1) and rows (1, n)) from one ``_probe``, after checking
+    those nodes for immersion."""
+    # copies: the chart gets writable arrays, not broadcast views
+    u, v = (x.copy() for x in np.broadcast_arrays(*_node_coordinates(chart, us, vs, i, j)))
+    at_nodes, d, d_u, d_v = _probe(chart, u, v)
     _check_immersion(chart_index, u, v, at_nodes)
     zu, wu, zv, wv = at_nodes
     with np.errstate(over="ignore", invalid="ignore"):
@@ -422,7 +415,7 @@ def _samples(chart: Chart, us, vs, h, chart_index: int, i, j):
     return d, grad, span
 
 
-def _fine_pass(chart: Chart, us, vs, h, chart_index: int, ci, cj, kept, zero_floor, scale):
+def _fine_pass(chart: Chart, us, vs, chart_index: int, ci, cj, kept, zero_floor, scale):
     """The candidate cells (i, j), in row-major order, among the fine
     cells of the kept coarse cells.
 
@@ -441,7 +434,7 @@ def _fine_pass(chart: Chart, us, vs, h, chart_index: int, ci, cj, kept, zero_flo
     blocks = max(1, _STRIP_NODES // (_STRIDE + 1) ** 2)
     for first in range(0, len(a), blocks):
         u, v = np.broadcast_arrays(bu[first:first + blocks, :, None], bv[first:first + blocks, None, :])
-        partials = _partials(chart, u.copy(), v.copy(), *h)
+        partials = _partials(chart, u.copy(), v.copy())
         _check_immersion(chart_index, u, v, partials)
         flagged.append(_candidate_cells(_delta(partials), zero_floor, scale) + (first, 0, 0))
     k, i, j = np.concatenate(flagged).T
@@ -532,7 +525,7 @@ def _candidate_cells(delta, zero_floor, scale):
     return np.argwhere(cells)
 
 
-def _windings(chart: Chart, rects, h) -> np.ndarray:
+def _windings(chart: Chart, rects, chart_index: int) -> np.ndarray:
     """Winding of delta along the boundary of each rectangle (rows
     ua, ub, va, vb), with adaptive phase sampling: starting from the
     corners, every segment whose phase step exceeds pi/2 is bisected, one
@@ -544,11 +537,12 @@ def _windings(chart: Chart, rects, h) -> np.ndarray:
     """
 
     def phase(u, v):
-        d = _delta(_partials(chart, u, v, *h))
+        d = _delta(_partials(chart, u, v))
         if np.any(d == 0):
             k = np.argmax(d == 0)
             raise UnresolvedCluster(
-                f"detector vanishes on a refinement boundary near ({u[k]:.6g}, {v[k]:.6g})"
+                f"detector vanishes on a refinement boundary near chart {chart_index} "
+                f"parameter ({u[k]:.6g}, {v[k]:.6g})"
             )
         return np.angle(d)
 
@@ -571,7 +565,11 @@ def _windings(chart: Chart, rects, h) -> np.ndarray:
                 break
             spent += np.bincount(owner, minlength=len(batch))
             if np.any(spent >= _BUDGET):
-                raise UnresolvedCluster("phase along a cell boundary failed to settle")
+                ua, ub, va, vb = batch[np.argmax(spent >= _BUDGET)]
+                raise UnresolvedCluster(
+                    f"phase along a cell boundary failed to settle near chart {chart_index} "
+                    f"parameter ({(ua + ub) / 2:.6g}, {(va + vb) / 2:.6g})"
+                )
             mid = (a + b) / 2
             mid[:, 2] = phase(mid[:, 0], mid[:, 1])
             a, b, owner = np.concatenate([a, mid]), np.concatenate([mid, b]), np.concatenate([owner, owner])
@@ -583,7 +581,7 @@ def _windings(chart: Chart, rects, h) -> np.ndarray:
 _SPLIT = 0.511716
 
 
-def _localize(chart: Chart, rects, h, tol: Tolerances, step: float, stop: float):
+def _localize(chart: Chart, rects, chart_index: int, cell: float, tol: Tolerances, stop: float):
     """Quadtree descent to the zeros inside the candidate cells (rows
     ua, ub, va, vb), one level at a time over every live box, and their
     Newton polish.  A box winding 0 is dropped; one winding +-1 leaves
@@ -591,16 +589,15 @@ def _localize(chart: Chart, rects, h, tol: Tolerances, step: float, stop: float)
     it; any other box is split.  At depth ``max_refine`` a box winding
     +-1 is polished unconfined, and one winding more raises
     ``UnresolvedCluster``.  Returns arrays u, v and windings."""
-    cell = min(h)
     located = []
-    windings = _windings(chart, rects, h)
+    windings = _windings(chart, rects, chart_index)
     for depth in range(tol.max_refine + 1):
         live = windings != 0  # winding judged zero at the finer look: false positive
         rects, windings = rects[live], windings[live]
         simple = np.flatnonzero(np.abs(windings) == 1)
-        simple = simple[_unique(chart, rects[simple], step)]
+        simple = simple[_unique(chart, rects[simple])]
         boxes = rects[simple]
-        u, v, inside = _newton(chart, *_centres(boxes), cell, step, stop, boxes)
+        u, v, inside = _newton(chart, *_centres(boxes), cell, stop, boxes)
         settled = simple[inside]
         located.append((u[inside], v[inside], windings[settled]))
         rects, windings = np.delete(rects, settled, axis=0), np.delete(windings, settled)
@@ -612,29 +609,21 @@ def _localize(chart: Chart, rects, h, tol: Tolerances, step: float, stop: float)
             np.column_stack(child)
             for child in ((ua, um, va, vm), (um, ub, va, vm), (ua, um, vm, vb), (um, ub, vm, vb))
         ])
-        windings = _windings(chart, rects, h)
+        windings = _windings(chart, rects, chart_index)
     cu, cv = _centres(rects)
     for u, v, w in zip(cu, cv, windings):
         if abs(w) != 1:
             raise UnresolvedCluster(
                 f"winding {w} not separated into simple zeros at depth {tol.max_refine} "
-                f"near ({u:.6g}, {v:.6g})"
+                f"near chart {chart_index} parameter ({u:.6g}, {v:.6g})"
             )
-    u, v, _ = _newton(chart, cu, cv, cell, step, stop)
+    u, v, _ = _newton(chart, cu, cv, cell, stop)
     located.append((u, v, windings))
     return tuple(np.concatenate(x) for x in zip(*located))
 
 
 # Newton iterations per located zero
 _NEWTON_STEPS = 30
-# the point and its four central-difference neighbours, in probe steps
-_PROBE = np.array([[0, 1, -1, 0, 0], [0, 0, 0, 1, -1]])
-# probe step of a chart without analytic partials.  D_u, D_v are then central
-# differences of central differences: truncation error grows like h^2 and
-# rounding error like 1e-16 / h^2, which balance near h ~ 1e-4 of a chart of
-# unit scale.  The wrinkled sphere's alpha measured best at 5e-5; a step tied
-# to the cell (1e-3 of it) sat deep in the rounding regime on fine grids.
-_FD_PROBE_STEP = 5e-5
 # share of sigma_min(J) the corner Jacobians may differ by in ``_unique``:
 # the theorem needs a share below 1 all over the box, which is sampled at
 # five points only
@@ -648,18 +637,27 @@ def _centres(rects):
     return (rects[:, 0] + rects[:, 1]) / 2, (rects[:, 2] + rects[:, 3]) / 2
 
 
-def _probe(chart: Chart, u, v, hu: float, hv: float):
-    """The partials and delta at points u, v (arrays), and D_u, D_v as
-    central differences of delta with steps hu, hv: one call of the
-    partials at the points and their four neighbours (differences of F
-    with the same steps on a chart without analytic partials)."""
-    partials = _partials(chart, u[..., None] + hu * _PROBE[0], v[..., None] + hv * _PROBE[1], hu, hv)
-    d = _delta(partials)
-    d_u, d_v = (d[..., 1] - d[..., 2]) / (2 * hu), (d[..., 3] - d[..., 4]) / (2 * hv)
-    return [x[..., 0] for x in partials], d[..., 0], d_u, d_v
+def _probe(chart: Chart, u, v):
+    """The partials and delta at points u, v (writable arrays), and grad
+    delta (D_u, D_v) there, which the scan forms nowhere else: from one
+    ``jet`` call, D_u = z_uu w_v + z_u w_uv - w_uu z_v - w_u z_uv and D_v
+    likewise, or without a jet as central differences of delta with step
+    ``_FD_STEP``, from the partials at the points and four neighbours."""
+    if chart.jet is None:
+        h = _FD_STEP
+        partials = _partials(chart, u[..., None] + h * _PROBE[0], v[..., None] + h * _PROBE[1])
+        d = _delta(partials)
+        d_u, d_v = (d[..., 1] - d[..., 2]) / (2 * h), (d[..., 3] - d[..., 4]) / (2 * h)
+        return [x[..., 0] for x in partials], d[..., 0], d_u, d_v
+    (zu, wu), (zv, wv), (zuu, wuu), (zuv, wuv), (zvv, wvv) = map(_as_complex_pair, chart.jet(u, v))
+    partials = zu, wu, zv, wv
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_u = zuu * wv + zu * wuv - wuu * zv - wu * zuv
+        d_v = zuv * wv + zu * wvv - wuv * zv - wu * zvv
+    return partials, _delta(partials), d_u, d_v
 
 
-def _unique(chart: Chart, rects, step: float):
+def _unique(chart: Chart, rects):
     """Which rectangles (rows ua, ub, va, vb) pass the uniqueness test:
     ||D delta - J||_F < ``_UNIQUE`` sigma_min(J) at the four corners, J
     the real 2x2 Jacobian of delta at the centre.  Were it below
@@ -671,7 +669,7 @@ def _unique(chart: Chart, rects, step: float):
     ua, ub, va, vb = rects.T
     cu, cv = _centres(rects)
     u, v = np.column_stack([cu, ua, ub, ub, ua]), np.column_stack([cv, va, va, vb, vb])
-    _, _, du, dv = _probe(chart, u, v, step, step)
+    _, _, du, dv = _probe(chart, u, v)
     with np.errstate(all="ignore"):
         factor = _unit_factor(np.maximum(np.abs(du[:, :1]), np.abs(dv[:, :1])))
         du, dv = du * factor, dv * factor
@@ -683,7 +681,7 @@ def _unique(chart: Chart, rects, step: float):
         return np.all(np.hypot(np.abs(du - ju), np.abs(dv - jv)) < _UNIQUE * sigma_min, axis=1)
 
 
-def _newton(chart: Chart, u, v, cell: float, step: float, stop: float, rects=None):
+def _newton(chart: Chart, u, v, cell: float, stop: float, rects=None):
     """Damped 2x2 Newton steps on delta from points u, v (arrays), one
     probe call per step.  A point stops at |delta| <= stop, at a singular
     Jacobian or at a step below 1e-15.  With ``rects`` (rows ua, ub, va,
@@ -696,7 +694,7 @@ def _newton(chart: Chart, u, v, cell: float, step: float, stop: float, rects=Non
     for _ in range(_NEWTON_STEPS):
         if done.all():
             break
-        _, d, du_, dv_ = _probe(chart, u, v, step, step)
+        _, d, du_, dv_ = _probe(chart, u, v)
         with np.errstate(all="ignore"):
             done |= np.abs(d) <= stop
             # bring max(|D_u|, |D_v|) into [1/2, 1): exact, and the 2x2
@@ -782,14 +780,9 @@ def find_complex_points(
     reports: list[PointReport] = []
     for chart_index, chart in enumerate(surface.charts):
         us, vs, h, scale, cells = _grid_pass(chart, grid, chart_index, tol.zero_rel)
-        cell = min(h)
-        if chart.d_du is not None and chart.d_dv is not None:
-            step = max(cell * 1e-3, 1e-12)
-        else:
-            step = min(_FD_PROBE_STEP, 0.1 * cell)
         i, j = cells.T
         rects = np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]])
-        u, v, windings = _localize(chart, rects, h, tol, step, 1e-13 * scale)
+        u, v, windings = _localize(chart, rects, chart_index, min(h), tol, 1e-13 * scale)
         u = _wrap_into(u, *chart.u_range, chart.periodic_u)
         v = _wrap_into(v, *chart.v_range, chart.periodic_v)
         if chart.owns is not None:
@@ -799,7 +792,7 @@ def find_complex_points(
             continue
         # the sign and jet of every owned point from one probe call, and
         # their positions from one evaluation
-        partials, _, du, dv = _probe(chart, u, v, step, step)
+        partials, _, du, dv = _probe(chart, u, v)
         z, w = _as_complex_pair(chart.evaluate(u, v))
         for k, (uk, vk, winding) in enumerate(zip(u.tolist(), v.tolist(), windings.tolist())):
             sign, jet = _sign_and_jet([x[k] for x in partials], complex(du[k]), complex(dv[k]), chart_index, uk, vk)
@@ -922,37 +915,40 @@ def _stereo_chart(south: bool, eps: float) -> Chart:
             w = w + eps * (z * z).real
         return z, w + 0j
 
+    e_v = -1j if south else 1j  # conj(e_v), e_v = i the direction v moves u + iv
+
     def at(u, v):
-        # d = 1 + |zeta|^2, zeta and z = 2 zeta / d
+        # d = 1 + |zeta|^2, zeta, z = 2 zeta / d and g = 2 / d^2
         d = 1.0 + (u * u + v * v)
         zeta = conj(u + 1j * v)
-        return d, zeta, 2.0 * zeta / d
+        return d, zeta, 2.0 * zeta / d, 2.0 / (d * d)
 
-    def partial(d, zeta, z, x, direction):
-        # d(z, w)/dx for the parameter x that moves u + iv along `direction`
-        zx = 2.0 * (conj(direction) * d - 2.0 * x * zeta) / d**2
-        wx = -sign * 4.0 * x / d**2
+    def partial(d, zeta, z, g, x, e):
+        # d(z, w)/dx for the parameter x whose direction e_x has conj(e_x) = e
+        zx = g * (e * d - 2.0 * x * zeta)
+        wx = (-2.0 * sign) * g * x
         if eps:
-            wx = wx + eps * 2.0 * (z * zx).real
+            wx = wx + (2.0 * eps) * (z * zx).real
         return zx, wx + 0j
 
     def jet(u, v):
-        d, zeta, z = at(u, v)
-        fu, fv = partial(d, zeta, z, u, 1), partial(d, zeta, z, v, 1j)
-        # with k = 4 / d^2, r_xy = 4 x y / d - [x = y] and directions e_u = 1,
-        # e_v = i: z_xy = k (zeta r_xy - conj(e_x) y - conj(e_y) x) and
+        d, zeta, z, g = at(u, v)
+        fu, fv = partial(d, zeta, z, g, u, 1.0), partial(d, zeta, z, g, v, e_v)
+        # with k = 4 / d^2 and r_xy = 4 x y / d - [x = y]:
+        # z_xy = k (zeta r_xy - conj(e_x) y - conj(e_y) x) and
         # w_xy = sign k r_xy, plus the wrinkle's 2 eps Re(z_x z_y + z z_xy)
-        k, q, ev = 4.0 / d**2, 4.0 / d, conj(1j)
+        k = 2.0 * g
+        qu, qv, sk = (4.0 / d) * u, (4.0 / d) * v, sign * k
         second = []
         for zx, zy, rxy, cross in (
-            (fu[0], fu[0], q * u * u - 1.0, 2.0 * u),
-            (fu[0], fv[0], q * u * v, v + ev * u),
-            (fv[0], fv[0], q * v * v - 1.0, 2.0 * ev * v),
+            (fu[0], fu[0], qu * u - 1.0, 2.0 * u),
+            (fu[0], fv[0], qu * v, v + e_v * u),
+            (fv[0], fv[0], qv * v - 1.0, (2.0 * e_v) * v),
         ):
             zxy = k * (zeta * rxy - cross)
-            wxy = sign * k * rxy
+            wxy = sk * rxy
             if eps:
-                wxy = wxy + eps * 2.0 * (zx * zy + z * zxy).real
+                wxy = wxy + (2.0 * eps) * (zx * zy + z * zxy).real
             second.append((zxy, wxy + 0j))
         return fu, fv, *second
 
@@ -961,7 +957,7 @@ def _stereo_chart(south: bool, eps: float) -> Chart:
     else:
         owns = lambda u, v: u * u + v * v <= 1.0     # closed north hemisphere
     label = "south" if south else "north"
-    d_du, d_dv = (lambda u, v: partial(*at(u, v), u, 1)), (lambda u, v: partial(*at(u, v), v, 1j))
+    d_du, d_dv = (lambda u, v: partial(*at(u, v), u, 1.0)), (lambda u, v: partial(*at(u, v), v, e_v))
     return Chart(ev, (-1.15, 1.15), (-1.15, 1.15), False, False, d_du, d_dv, owns, label, jet)
 
 

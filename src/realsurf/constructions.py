@@ -444,7 +444,9 @@ _CLAIM_CHECKS = tuple(zip(dataclasses.fields(Claims), (
 def verify_certificate(cert: Certificate) -> VerificationReport:
     """Rebuild the ambient, replay the steps, and compare every claim with
     the claims the replayed surface supports.  The two predicates, the
-    fields that default to None, are compared only when claimed."""
+    fields that default to None, are compared only when claimed.  A
+    claimed disc bundle must match the replayed base and euler number,
+    and the replayed surface must admit a Stein neighborhood basis."""
     final, checks = _replay(cert.ambient.build(), cert.steps)
     actual = _claims_for(final)
     for field, name in _CLAIM_CHECKS:
@@ -464,6 +466,8 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
             Check("disc bundle euler number is the normal euler number",
                   bundle.euler_number, final.normal_euler)
         )
+        # the engines emit Stein disc bundles only; None (I+- undefined) fails
+        checks.append(Check("disc bundle is Stein", True, actual.stein_basis_possible))
     passed = all(c.ok for c in checks)
     return VerificationReport(passed, tuple(checks), cert.notes)
 

@@ -28,6 +28,7 @@ from realsurf.bishop import (
 )
 from realsurf.bishop import (
     DEFAULT_TOLERANCES,
+    _FD_STEP,
     _GRID_SHIFT,
     _STRIDE,
     _candidate_cells,
@@ -38,6 +39,7 @@ from realsurf.bishop import (
     _grid_pass,
     _newton,
     _partials,
+    _probe,
     _samples,
     _windings,
 )
@@ -230,7 +232,7 @@ def test_graph_normal_form_infinite_alpha():
 @pytest.mark.parametrize("a0", [0.0, 0.3, 0.5, 2.0, 3.7, 10.0, 157.0])
 def test_graph_normal_form_alpha_to_rounding(a0, grid):
     (p,) = find_complex_points(graph_normal_form(a0), grid)
-    assert p.alpha == pytest.approx(a0, rel=1e-12, abs=0.0)
+    assert p.alpha == pytest.approx(a0, rel=1e-15, abs=0.0)
 
 
 def test_graph_alpha2_spec_example():
@@ -267,7 +269,7 @@ def test_wrinkled_sphere_alpha_stable_under_grid_doubling():
         assert q.alpha == pytest.approx(p.alpha, abs=1e-4)
 
 
-@pytest.mark.parametrize("grid", [64, 256])
+@pytest.mark.parametrize("grid", [64, 256, 512])
 @pytest.mark.parametrize("eps", [0.1, 0.3, 0.6, 0.9])
 def test_wrinkled_sphere_pole_alpha(eps, grid):
     # t = 1 - z zbar / 2 + (eps / 2)(z^2 + zbar^2) + O(|z|^3) at the poles,
@@ -275,7 +277,7 @@ def test_wrinkled_sphere_pole_alpha(eps, grid):
     poles = [p for p in find_complex_points(wrinkled_sphere(eps), grid) if math.hypot(*p.location) < 1e-6]
     assert len(poles) == 2
     for p in poles:
-        assert p.alpha == pytest.approx(1 / (2 * eps), rel=1e-8)
+        assert p.alpha == pytest.approx(1 / (2 * eps), rel=1e-14)
 
 
 @pytest.mark.parametrize("grid", [64, 256])
@@ -422,22 +424,27 @@ def _without_jet(surface):
     return dataclasses.replace(surface, charts=tuple(dataclasses.replace(c, jet=None) for c in surface.charts))
 
 
+# the difference step in cells of grid 64 over the stereographic chart
+_STEP_CELLS = _FD_STEP / (2.3 / 64)
+
+
 @pytest.mark.parametrize(
     "make, reach",
     [
         (lambda: wrinkled_sphere(0.6), {"evaluate": None, "d_du": 0.0, "d_dv": 0.0, "jet": 0.0}),
-        (lambda: _without_jet(wrinkled_sphere(0.6)), {"evaluate": None, "d_du": 1.0, "d_dv": 1.0}),
-        (lambda: _fd_copy(wrinkled_sphere(0.6)), {"evaluate": 2.0}),
+        (lambda: _without_jet(wrinkled_sphere(0.6)), {"evaluate": None, "d_du": _STEP_CELLS, "d_dv": _STEP_CELLS}),
+        (lambda: _fd_copy(wrinkled_sphere(0.6)), {"evaluate": 2 * _STEP_CELLS}),
     ],
     ids=["jet", "no-jet", "no-partials"],
 )
 def test_chart_callables_stay_within_the_documented_padding(make, reach):
-    """Every argument the scan passes a chart's callables lies within 2.6
-    cells of the chart's rectangle (the ``Chart`` docstring).  The grid's
-    last nodes lie ``_GRID_SHIFT`` cells out; a chart without a jet has
-    its partials read a cell past them, and a chart without partials
-    differences F a further cell out.  ``evaluate`` of a chart with
-    partials is called only at located points, inside (reach None)."""
+    """Every argument the scan passes a chart's callables lies within
+    2 + ``_GRID_SHIFT`` cells and two difference steps of the chart's
+    rectangle (the ``Chart`` docstring).  The grid's last nodes lie
+    ``_GRID_SHIFT`` cells out; a chart without a jet has its partials
+    read a step past them, and a chart without partials differences F a
+    further step out.  ``evaluate`` of a chart with partials is called
+    only at located points, inside (reach None)."""
     grid = 64
     outside = {}
 
@@ -458,7 +465,7 @@ def test_chart_callables_stay_within_the_documented_padding(make, reach):
         for c in surface.charts
     )
     assert len(find_complex_points(dataclasses.replace(surface, charts=charts), grid)) == 6
-    assert max(outside.values()) <= 2.6
+    assert max(outside.values()) <= 2 + _GRID_SHIFT + 2 * _STEP_CELLS
     for field, cells in reach.items():
         if cells is None:
             assert outside[field] <= 0.0
@@ -542,14 +549,14 @@ def test_samples_read_grad_delta_from_the_jet(name):
     # |grad delta| at every 4th node of grid 64, the rim included, against
     # central differences of delta
     chart = _JET_CHARTS[name]()
-    us, vs, h, _, _ = _grid_pass(chart, 64, 0, DEFAULT_TOLERANCES.zero_rel)
+    us, vs, _, _, _ = _grid_pass(chart, 64, 0, DEFAULT_TOLERANCES.zero_rel)
     i, j = np.arange(0, 65, 4)[:, None], np.arange(0, 65, 4)[None, :]
-    _, grad, _ = _samples(chart, us, vs, h, 0, i, j)
+    _, grad, _ = _samples(chart, us, vs, 0, i, j)
     u, v = np.broadcast_arrays(us[i], vs[j])
     step = 1e-6
 
     def delta(du, dv):
-        return _delta(_partials(chart, u + du, v + dv, *h))
+        return _delta(_partials(chart, u + du, v + dv))
 
     d_u = (delta(step, 0.0) - delta(-step, 0.0)) / (2 * step)
     d_v = (delta(0.0, step) - delta(0.0, -step)) / (2 * step)
@@ -580,8 +587,8 @@ def test_coarse_pass_calls_the_jet_once_per_sample(name):
 @pytest.mark.parametrize("partials", [True, False], ids=["partials", "no-partials"])
 def test_coarse_pass_without_a_jet_probes_five_points_per_sample(name, partials):
     # grid 512: the partials at each of the 65^2 + 64^2 samples and at its
-    # four neighbours a cell away, one call for the corners and one for the
-    # middles; without partials each is four evaluations of F
+    # four neighbours a 5e-5 step away, one call for the corners and one
+    # for the middles; without partials each is four evaluations of F
     chart = _JET_CHARTS[name]()
     us, vs, h, _, _ = _grid_pass(chart, 512, 0, DEFAULT_TOLERANCES.zero_rel)
     fields = ("evaluate", "d_du", "d_dv") if partials else ("evaluate",)
@@ -661,8 +668,8 @@ def test_windings_raise_when_the_boundary_phase_will_not_settle():
         return 1j + 0j * u, u + 1j * v + 0j
 
     chart = Chart(ev, (-1.0, 1.0), (-1.0, 1.0), False, False, d_du, d_dv)
-    with pytest.raises(UnresolvedCluster, match="failed to settle"):
-        _windings(chart, np.array([[-0.5, 0.5, -0.5, 0.5]]), (2.0 / 64, 2.0 / 64))
+    with pytest.raises(UnresolvedCluster, match=r"failed to settle near chart 3 parameter \(0, 0\)"):
+        _windings(chart, np.array([[-0.5, 0.5, -0.5, 0.5]]), 3)
 
 
 def test_unresolved_cluster_on_index_off_the_type():
@@ -774,6 +781,28 @@ def _detector_chart(detector, gradient=None):
         return d_du(u, v), d_dv(u, v), (zero, 1j * delta_u), (zero, zero), (zero, delta_v)
 
     return Chart(ev, (-1.0, 1.0), (-1.0, 1.0), False, False, d_du, d_dv, jet=None if gradient is None else jet)
+
+
+def _node_zero_chart():
+    ev, d_du, d_dv = _graph_alpha2_at_node()
+    return Chart(ev, (-0.8, 0.8), (-0.8, 0.8), False, False, d_du, d_dv)
+
+
+@pytest.mark.parametrize(
+    "make_chart, message",
+    [
+        (_node_zero_chart, f"detector vanishes on a refinement boundary near chart 1 parameter \\({_NODE:.6g}, "),
+        # delta = zbar^2: a double zero, exactly, at the origin
+        (lambda: _detector_chart(lambda u, v: (u - 1j * v) ** 2), "winding -2 not separated .* near chart 1 parameter"),
+    ],
+    ids=["refinement-boundary", "double-zero"],
+)
+def test_scanner_errors_name_the_failing_chart(make_chart, message):
+    # chart 0 holds one clean elliptic point; the failure is in chart 1
+    charts = (graph_normal_form(2.0).charts[0], make_chart())
+    surface = ParametrizedSurface("second-chart-fails", charts, True, False, None, None)
+    with pytest.raises(UnresolvedCluster, match=message):
+        find_complex_points(surface, 64)
 
 
 # a pair of zeros 0.44 cells apart in neighbouring cells of the shifted
@@ -923,7 +952,7 @@ def test_candidate_cells_contain_every_winding_cell(surface, grid):
         us, vs, h, _, cells = _grid_pass(chart, grid, index, DEFAULT_TOLERANCES.zero_rel)
         candidates = set(map(tuple, cells.tolist()))
         i, j = np.indices((grid, grid)).reshape(2, -1)
-        windings = _windings(chart, np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]]), h)
+        windings = _windings(chart, np.column_stack([us[i], us[i + 1], vs[j], vs[j + 1]]), index)
         winding_cells = set(zip(i[windings != 0].tolist(), j[windings != 0].tolist()))
         assert bool(winding_cells) == (surface.label != "flat-torus")
         assert winding_cells <= candidates
@@ -1001,15 +1030,13 @@ def test_huge_detector_is_scanned_like_a_unit_one():
     _assert_scanned_like_a_unit_detector(1e170)
 
 
-def _newton_reference(chart, u, v, cell, step, stop):
+def _newton_reference(chart, u, v, cell, stop):
     """Damped Newton on delta from one point, a scalar loop: the reference
     for the batched ``_newton`` without rectangles."""
     u0, v0 = u, v
     for _ in range(30):
-        partials = _partials(chart, u + step * np.array([0, 1, -1, 0, 0]), v + step * np.array([0, 0, 0, 1, -1]),
-                             step, step)
-        d, up, um, vp, vm = _delta(partials).tolist()
-        du, dv = (up - um) / (2 * step), (vp - vm) / (2 * step)
+        _, *probed = _probe(chart, np.array([u]), np.array([v]))
+        d, du, dv = (complex(x[0]) for x in probed)
         if abs(d) <= stop:
             break
         factor = 2.0 ** min(-math.frexp(max(abs(du), abs(dv)))[1], 1023)
@@ -1036,10 +1063,10 @@ def test_batched_newton_matches_the_scalar_loop():
     chart = wrinkled_sphere(0.6).charts[0]
     cell = 2.3 / 64
     starts = [(-0.3015 + 0.3 * cell, -0.2 * cell), (0.4 * cell, 0.1 * cell), (0.3015, 0.45 * cell), (0.7, 0.7)]
-    u, v, inside = _newton(chart, *map(np.array, zip(*starts)), cell, 1e-3 * cell, 1e-13)
+    u, v, inside = _newton(chart, *map(np.array, zip(*starts)), cell, 1e-13)
     assert inside.all()
     for k, (u0, v0) in enumerate(starts):
-        ref = _newton_reference(chart, u0, v0, cell, 1e-3 * cell, 1e-13)
+        ref = _newton_reference(chart, u0, v0, cell, 1e-13)
         assert abs(complex(u[k], v[k]) - complex(*ref)) < 1e-15
     assert (u[3], v[3]) == starts[3]
 
@@ -1069,7 +1096,7 @@ def test_strip_lattice_equals_whole_lattice(surface, grid):
     zero_rel = DEFAULT_TOLERANCES.zero_rel
     for index, chart in enumerate(surface.charts):
         us, vs, h, scale, _ = _grid_pass(chart, grid, index, zero_rel)
-        whole = _delta(_partials(chart, *np.meshgrid(us, vs, indexing="ij"), *h))
+        whole = _delta(_partials(chart, *np.meshgrid(us, vs, indexing="ij")))
         if chart.periodic_u:
             whole[-1, :] = whole[0, :]
         if chart.periodic_v:
@@ -1084,7 +1111,7 @@ def test_strip_lattice_equals_whole_lattice(surface, grid):
         assert calls[0][..., 0].tobytes() == whole[np.ix_(ci, cj)].tobytes()
         # every coarse cell kept: the blocks then cover the whole lattice
         calls.clear()
-        _fine_pass(watched, us, vs, h, index, ci, cj, np.ones_like(kept), zero_rel * scale, scale)
+        _fine_pass(watched, us, vs, index, ci, cj, np.ones_like(kept), zero_rel * scale, scale)
         blocks = np.concatenate(calls)
         a, b = np.nonzero(np.ones_like(kept))
         steps = np.arange(_STRIDE + 1)

@@ -407,6 +407,41 @@ def test_predicate_claim_without_signed_counts_is_a_failed_check():
     assert verify_certificate(dataclasses.replace(cert, claimed=unclaimed)).passed
 
 
+@pytest.mark.parametrize(
+    "steps, claimed",
+    [
+        # D(0, 1): n <= 2g - 2 fails, and the replay has I+ = 3
+        ([{"kind": "use-named-class", "name": "h", "chi": 2}],
+         {"orientable": True, "euler_char": 2, "normal_euler": 1, "hclass": [1], "i_total": 3, "i_plus": 3,
+          "i_minus": 0, "disc_bundle": {"kind": "D", "genus": 0, "euler_number": 1}}),
+        # Dtilde(-1, 2): n + chi <= 0 fails, and the replay has I = 1
+        ([{"kind": "embed-in-chart", "chi": -1, "normal_euler": 2, "orientable": False}],
+         {"orientable": False, "euler_char": -1, "normal_euler": 2, "i_total": 1,
+          "disc_bundle": {"kind": "Dtilde", "chi": -1, "euler_number": 2}}),
+    ],
+    ids=["D-0-1", "Dtilde--1-2"],
+)
+def test_disc_bundle_claim_needs_a_stein_surface(steps, claimed):
+    # every other claim matches the replay of these CP2 certificates, but
+    # the engines call both bundles infeasible
+    text = json.dumps({"ambient": {"base": "CP2"}, "steps": steps, "claimed": claimed})
+    report = verify_certificate(Certificate.from_json(text))
+    assert [(c.name, c.expected, c.actual) for c in report.failures()] == [("disc bundle is Stein", True, False)]
+    bundle = claimed["disc_bundle"]
+    with pytest.raises(Infeasible):
+        if bundle["kind"] == "D":
+            stein_disc_bundle(bundle["genus"], bundle["euler_number"])
+        else:
+            stein_disc_bundle_nonorientable(bundle["chi"], bundle["euler_number"])
+
+
+def test_disc_bundle_claim_fails_where_the_stein_rule_is_undefined():
+    # an oriented chart surface has no class, so I+- are undefined
+    claimed = Claims(True, 2, 0, None, 2, None, None, disc_bundle=DiscBundle(True, 0, genus=0))
+    report = verify_certificate(Certificate(AmbientRecipe("K3"), (EmbedInChart(2, 0, True),), claimed))
+    assert [(c.name, c.expected, c.actual) for c in report.failures()] == [("disc bundle is Stein", True, None)]
+
+
 def test_chart_normal_euler_outside_massey_fails():
     steps = (EmbedInChart(0, 2),)  # massey_set(0) = {-4, 0, 4}
     claimed = Claims(False, 0, 2, None, 2, None, None)
