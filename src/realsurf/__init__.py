@@ -7,63 +7,57 @@ real embeddings and Stein disc bundles with an independent verifier;
 and a numerical detector/classifier of complex points on parametrized
 surfaces in C^2 (Bishop invariant, elliptic/hyperbolic types).
 
-Only the scanner, ``realsurf.bishop``, imports numpy, and it is loaded on
-first use: ``import realsurf`` and the exact-only CLI commands never
-import it, and ``realsurf.bishop`` or any of its names re-exported here
-(``realsurf.survey``, ``from realsurf import Tolerances``, ...) loads it.
+``import realsurf`` loads no submodule.  Each name re-exported here
+(``realsurf.k3``, ``from realsurf import Tolerances``, ...) and each of
+the submodules ``ambient``, ``bishop``, ``constructions``, ``embedded``
+and ``lattice`` is imported on first access.  Only the scanner,
+``realsurf.bishop``, imports numpy: Bishop's local model (``Jet2``,
+``bishop_alpha``, ``classify``) and ``Tolerances`` come from the
+numpy-free ``realsurf.local``.
 """
 
 import importlib
 
-from .ambient import AmbientSurface, blow_up, by_name, cp2, e, fiber_sum_check, k3
-from .constructions import (
-    Certificate,
-    Infeasible,
-    NoRecipe,
-    stein_disc_bundle,
-    stein_disc_bundle_nonorientable,
-    totally_real_nonorientable,
-    totally_real_oriented_in_k3,
-    verify_certificate,
-)
-from .embedded import (
-    SurfaceClass,
-    admissible_I,
-    connected_sum,
-    i_pm,
-    i_total,
-    invariant_report,
-    massey_set,
-    resolve_union,
-    stein_basis_possible,
-    totally_real_possible,
-)
-from .lattice import HClass, Lattice, determinant, diag, direct_sum, e8_neg, pair, pairing, signature
-
 __version__ = "0.1.0"
 
-# re-exported from realsurf.bishop, which is imported on first access
-_BISHOP_NAMES = (
-    "Jet2",
-    "ParametrizedSurface",
-    "PointType",
-    "Tolerances",
-    "bishop_alpha",
-    "builtin_surface",
-    "classify",
-    "find_complex_points",
-    "survey",
-)
+_EXPORTS = {
+    "ambient": ("AmbientSurface", "blow_up", "by_name", "cp2", "e", "fiber_sum_check", "k3"),
+    "bishop": ("ParametrizedSurface", "builtin_surface", "find_complex_points", "survey"),
+    "constructions": (
+        "Certificate", "Infeasible", "NoRecipe", "stein_disc_bundle",
+        "stein_disc_bundle_nonorientable", "totally_real_nonorientable",
+        "totally_real_oriented_in_k3", "verify_certificate",
+    ),
+    "embedded": (
+        "SurfaceClass", "admissible_I", "connected_sum", "i_pm", "i_total", "invariant_report",
+        "massey_set", "resolve_union", "stein_basis_possible", "totally_real_possible",
+    ),
+    "lattice": (
+        "HClass", "Lattice", "determinant", "diag", "direct_sum", "e8_neg", "pair", "pairing",
+        "signature",
+    ),
+    "local": ("Jet2", "PointType", "Tolerances", "bishop_alpha", "classify"),
+}
+
+# re-exported name -> the submodule that defines it
+_SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+# the submodules offered as attributes before first import
+_SUBMODULES = ("ambient", "bishop", "constructions", "embedded", "lattice")
 
 
 def __getattr__(name):
-    # import_module, not ``from . import bishop``: the latter looks the
+    # import_module, not ``from . import x``: the latter looks the
     # submodule up as an attribute first and would re-enter this function
-    if name == "bishop" or name in _BISHOP_NAMES:
-        bishop = importlib.import_module(".bishop", __name__)
-        return bishop if name == "bishop" else getattr(bishop, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
 
 
 def __dir__():
-    return sorted({*globals(), "bishop", *_BISHOP_NAMES})
+    return sorted({*globals(), *_SUBMODULES, *_SUBMODULE_OF})

@@ -16,11 +16,13 @@ f.s = 1, s.s = -n) and c1 dual to (2-n) f.  For n >= 2 the middle
 their section-like generators are the square -2 sphere classes that the
 totally-real sphere constructions ride on.  E(2) is K3.
 
-Four integrity invariants hold for every surface built here and are
+Five integrity invariants hold for every surface built here and are
 enforced at construction: the form is unimodular; c1 is characteristic
 (its pairing with any class x is congruent to x.x mod 2); c1.c1 =
-2 chi + 3 sigma (Hirzebruch signature theorem); and chi = 2 + rank,
-since b1 = 0 for every catalog surface.
+2 chi + 3 sigma (Hirzebruch signature theorem); an even form has
+sigma divisible by 16 (Rokhlin's theorem: every catalog surface is
+simply connected, so an even form means a spin manifold); and
+chi = 2 + rank, since b1 = 0 for every catalog surface.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .lattice import (
     diag,
     direct_sum,
     e8_neg,
+    is_even,
     pair,
     pairing,
     signature,
@@ -106,6 +109,11 @@ class AmbientSurface:
             raise ValueError(
                 f"{self.label}: c1.c1 = {c1_sq}, but the signature theorem needs "
                 f"2 chi + 3 sigma = {2 * self.euler_char + 3 * sigma}"
+            )
+        if sigma % 16 and is_even(self.lattice):
+            raise ValueError(
+                f"{self.label}: the form is even with sigma = {sigma}, but Rokhlin's "
+                f"theorem needs sigma divisible by 16"
             )
 
     @property

@@ -1,5 +1,7 @@
-"""Local models and numerical detection of complex points on
-parametrized surfaces in C^2.
+"""Numerical detection of complex points on parametrized surfaces in
+C^2.  The local model (``Jet2``, ``bishop_alpha``, ``classify``), the
+tolerances, the scanner's exceptions and ``BUILTIN_SURFACES`` live in
+the numpy-free ``realsurf.local`` and are re-exported here.
 
 A point of an embedded real surface is *complex* when its tangent plane
 is a complex line of the ambient C^2.  For a parametrized patch
@@ -53,7 +55,6 @@ boundaries).
 
 from __future__ import annotations
 
-import enum
 import math
 import numbers
 from dataclasses import dataclass
@@ -62,6 +63,19 @@ from typing import Callable
 import numpy as np
 
 from .ambient import Check
+from .local import (
+    BUILTIN_SURFACES,
+    DEFAULT_TOLERANCES,
+    GenericityFailure,
+    ImmersionFailure,
+    Jet2,
+    PointType,
+    Tolerances,
+    UnresolvedCluster,
+    bishop_alpha,
+    classify,
+    parse_builtin_surface,
+)
 
 __all__ = [
     "Jet2",
@@ -85,86 +99,6 @@ __all__ = [
     "wrinkled_sphere",
     "graph_normal_form",
 ]
-
-
-class ImmersionFailure(Exception):
-    """The two partial derivatives are real-linearly dependent somewhere."""
-
-
-class UnresolvedCluster(Exception):
-    """Zeros of the detector did not separate at maximal refinement."""
-
-
-class GenericityFailure(Exception):
-    """A parabolic or degenerate point makes the survey counts meaningless."""
-
-
-@dataclass(frozen=True)
-class Jet2:
-    """Quadratic jet w = a z^2 + b z zbar + c zbar^2 in adapted coordinates."""
-
-    a: complex
-    b: complex
-    c: complex
-
-
-class PointType(enum.Enum):
-    ELLIPTIC = "elliptic"
-    HYPERBOLIC = "hyperbolic"
-    PARABOLIC = "parabolic"
-    DEGENERATE = "degenerate"
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    zero_rel: float = 1e-9        # relative floor below which a modulus counts as zero
-    parabolic_band: float = 1e-6  # |alpha - 1| within the band reports parabolic
-    max_refine: int = 12          # deepest quadtree level a candidate cell's boxes may reach
-
-    def __post_init__(self):
-        for name in ("zero_rel", "parabolic_band", "max_refine"):
-            value = getattr(self, name)
-            if not value >= 0:
-                raise ValueError(f"tolerance {name} must be >= 0, got {value!r}")
-        # a quadtree depth: a Python or numpy integer, not a bool
-        if isinstance(self.max_refine, bool) or not isinstance(self.max_refine, numbers.Integral):
-            raise TypeError(f"tolerance max_refine must be an integer, got {self.max_refine!r}")
-
-
-DEFAULT_TOLERANCES = Tolerances()
-
-
-def bishop_alpha(jet: Jet2, zero_rel: float = 1e-9) -> float | None:
-    """The holomorphic invariant of a complex point from its quadratic jet.
-
-    The a-coefficient is removed by a holomorphic coordinate change and
-    plays no role.  Returns ``math.inf`` when c vanishes (the
-    w = z zbar model) and ``None`` for the degenerate jet b = c = 0.
-    Raises ``ValueError`` when b or c is infinite or NaN.
-    """
-    b, c2 = abs(jet.b), 2.0 * abs(jet.c)
-    if not (math.isfinite(b) and math.isfinite(c2)):
-        raise ValueError(f"jet coefficients b and c must be finite, got b={jet.b!r}, c={jet.c!r}")
-    scale = max(b, c2)
-    if scale == 0.0:
-        return None
-    if c2 <= zero_rel * scale:
-        return math.inf
-    if b <= zero_rel * scale:
-        return 0.0
-    return b / c2
-
-
-def classify(alpha: float | None, parabolic_band: float = 1e-6) -> PointType:
-    """alpha > 1 elliptic, alpha < 1 hyperbolic, alpha = 1 parabolic
-    (up to the tolerance band), no alpha degenerate."""
-    if alpha is None:
-        return PointType.DEGENERATE
-    if math.isinf(alpha):
-        return PointType.ELLIPTIC
-    if abs(alpha - 1.0) <= parabolic_band:
-        return PointType.PARABOLIC
-    return PointType.ELLIPTIC if alpha > 1.0 else PointType.HYPERBOLIC
 
 
 # --- surfaces -------------------------------------------------------------------
@@ -1013,19 +947,8 @@ def graph_normal_form(alpha: float) -> ParametrizedSurface:
     return ParametrizedSurface(label, (chart,), True, False, None, None)
 
 
-BUILTIN_SURFACES = ("flat-torus", "round-sphere", "wrinkled-sphere", "graph-normal-form:<alpha>")
-
-
 def builtin_surface(name: str) -> ParametrizedSurface:
-    key = name.strip()
-    if key == "flat-torus":
-        return flat_torus()
-    if key == "round-sphere":
-        return round_sphere()
-    if key == "wrinkled-sphere":
-        return wrinkled_sphere()
-    if key.startswith("graph-normal-form:"):
-        suffix = key.split(":", 1)[1]
-        value = math.inf if suffix.strip().lower() == "inf" else float(suffix)
-        return graph_normal_form(value)
-    raise ValueError(f"unknown builtin surface {name!r}; available: {', '.join(BUILTIN_SURFACES)}")
+    kind, alpha = parse_builtin_surface(name)
+    if kind == "graph-normal-form":
+        return graph_normal_form(alpha)
+    return {"flat-torus": flat_torus, "round-sphere": round_sphere, "wrinkled-sphere": wrinkled_sphere}[kind]()

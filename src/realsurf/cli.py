@@ -8,6 +8,11 @@ what ``verify`` consumes back.
 Exit codes: 0 success (including a passing verification), 1 malformed
 input or a failing verification, 2 a mathematically expected negative
 (Infeasible / NoRecipe).
+
+Each command imports only the modules it runs: numpy only for
+``bishop scan`` with a known surface name (``bishop classify`` runs on
+the numpy-free ``realsurf.local``), and the certificate engine only for
+``certify`` and ``verify``.
 """
 
 from __future__ import annotations
@@ -17,10 +22,11 @@ import cmath
 import math
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import ambient as ambient_mod
-from . import constructions, embedded
-from .lattice import HClass, determinant, signature
+if TYPE_CHECKING:
+    from .ambient import AmbientSurface
+    from .lattice import HClass
 
 __all__ = ["main"]
 
@@ -35,8 +41,6 @@ class _Parser(argparse.ArgumentParser):
 def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, HClass):
-        return list(value.coeffs)
     if isinstance(value, float):
         if math.isinf(value):
             return "inf"
@@ -69,7 +73,9 @@ def _emit_text(obj, stream, indent=0):
 def _emit(payload, fmt, stream=None):
     stream = stream or sys.stdout
     if fmt == "json":
-        stream.write(constructions._dumps_indented(payload) + "\n")
+        from ._jsontext import dumps_indented
+
+        stream.write(dumps_indented(payload) + "\n")
     else:
         _emit_text(payload, stream)
 
@@ -87,8 +93,10 @@ def _checks_payload(checks):
 _TERM = re.compile(r"([+-]?\d*)\*?([A-Za-z]\w*)")
 
 
-def parse_class_expression(surface: ambient_mod.AmbientSurface, expr: str) -> HClass:
+def parse_class_expression(surface: AmbientSurface, expr: str) -> HClass:
     """A linear combination of named classes, e.g. ``s+2f-e1``."""
+    from .lattice import HClass
+
     text = expr.replace(" ", "")
     if not text:
         raise ValueError("empty class expression")
@@ -114,7 +122,10 @@ def parse_class_expression(surface: ambient_mod.AmbientSurface, expr: str) -> HC
 
 
 def _cmd_ambient_info(args) -> int:
-    surface = ambient_mod.by_name(args.name, args.blow_ups)
+    from .ambient import by_name
+    from .lattice import determinant, signature
+
+    surface = by_name(args.name, args.blow_ups)
     b_plus, b_minus, b_zero = signature(surface.lattice)
     named = {}
     for name in sorted(surface.named):
@@ -129,7 +140,7 @@ def _cmd_ambient_info(args) -> int:
         "signature": [b_plus, b_minus, b_zero],
         "determinant": determinant(surface.lattice),
         "euler_char": surface.euler_char,
-        "c1": _jsonable(surface.c1),
+        "c1": list(surface.c1.coeffs),
         "named_classes": named,
     }
     _emit(payload, args.format)
@@ -137,7 +148,10 @@ def _cmd_ambient_info(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    surface = ambient_mod.by_name(args.ambient, args.blow_ups)
+    from . import embedded
+    from .ambient import by_name
+
+    surface = by_name(args.ambient, args.blow_ups)
     orientable = not args.nonorientable
     if args.hclass is not None:
         if args.nonorientable:
@@ -153,7 +167,7 @@ def _cmd_invariants(args) -> int:
         "ambient": surface.label,
         "orientable": surf.orientable,
         "euler_char": surf.euler_char,
-        "hclass": _jsonable(surf.hclass),
+        "hclass": None if surf.hclass is None else list(surf.hclass.coeffs),
         "normal_euler": surf.normal_euler,
         "i_total": report.i_total,
         "i_plus": report.i_plus,
@@ -167,19 +181,28 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    if args.construction == "totally-real-oriented":
-        cert = constructions.totally_real_oriented_in_k3(args.genus)
-    elif args.construction == "totally-real":
-        cert = constructions.totally_real_nonorientable(args.chi, args.ambient)
-    elif args.construction == "stein-disc":
-        cert = constructions.stein_disc_bundle(args.genus, args.euler)
-    else:  # stein-disc-nonorientable
-        cert = constructions.stein_disc_bundle_nonorientable(args.chi, args.euler, args.strategy)
+    from . import constructions
+
+    try:
+        if args.construction == "totally-real-oriented":
+            cert = constructions.totally_real_oriented_in_k3(args.genus)
+        elif args.construction == "totally-real":
+            cert = constructions.totally_real_nonorientable(args.chi, args.ambient)
+        elif args.construction == "stein-disc":
+            cert = constructions.stein_disc_bundle(args.genus, args.euler)
+        else:  # stein-disc-nonorientable
+            cert = constructions.stein_disc_bundle_nonorientable(args.chi, args.euler, args.strategy)
+    except (constructions.Infeasible, constructions.NoRecipe) as exc:
+        status = "infeasible" if isinstance(exc, constructions.Infeasible) else "no-recipe"
+        _emit({"status": status, "reason": str(exc)}, args.format)
+        return 2
     _emit(cert.to_dict(), args.format)
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import constructions
+
     if args.certificate == "-":
         text = sys.stdin.read()
     else:
@@ -197,6 +220,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_massey(args) -> int:
+    from . import embedded
+
     payload = {
         "chi": args.chi,
         "normal_euler_range": embedded.massey_set(args.chi),
@@ -223,11 +248,11 @@ _TOLERANCE_FLAGS = {"tol": "zero_rel", "parabolic_tol": "parabolic_band",
 
 
 def _tolerances(args):
-    from . import bishop
+    from .local import Tolerances
 
     given = {field: getattr(args, dest) for dest, field in _TOLERANCE_FLAGS.items()
              if hasattr(args, dest)}
-    return bishop.Tolerances(**given)
+    return Tolerances(**given)
 
 
 def _error(exc) -> int:
@@ -236,12 +261,12 @@ def _error(exc) -> int:
 
 
 def _cmd_bishop_classify(args) -> int:
-    from . import bishop
+    from .local import Jet2, bishop_alpha, classify
 
-    jet = bishop.Jet2(_parse_complex(args.a), _parse_complex(args.b), _parse_complex(args.c))
+    jet = Jet2(_parse_complex(args.a), _parse_complex(args.b), _parse_complex(args.c))
     tol = _tolerances(args)
-    alpha = bishop.bishop_alpha(jet, tol.zero_rel)
-    ptype = bishop.classify(alpha, tol.parabolic_band)
+    alpha = bishop_alpha(jet, tol.zero_rel)
+    ptype = classify(alpha, tol.parabolic_band)
     payload = {
         "jet": {"a": _jsonable(jet.a), "b": _jsonable(jet.b), "c": _jsonable(jet.c)},
         "alpha": _jsonable(alpha),
@@ -271,6 +296,9 @@ def _point_payload(p, fmt: str):
 
 
 def _cmd_bishop_scan(args) -> int:
+    from .local import parse_builtin_surface
+
+    parse_builtin_surface(args.surface)  # an unknown name fails before numpy loads
     from . import bishop
 
     surface = bishop.builtin_surface(args.surface)
@@ -387,8 +415,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_bishop_classify)
     p = bishop_sub.add_parser("scan", parents=[common],
                               help="find and classify complex points of a builtin surface")
-    # bishop.BUILTIN_SURFACES spelled out: building the parser must not
-    # import the scanner (a test pins the two together)
+    # local.BUILTIN_SURFACES spelled out: building the parser imports no
+    # realsurf module, which every command would pay (a test pins the two)
     p.add_argument("--surface", required=True,
                    help="flat-torus, round-sphere, wrinkled-sphere, graph-normal-form:<alpha>")
     p.add_argument("--grid", type=int, default=256)
@@ -405,10 +433,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (constructions.Infeasible, constructions.NoRecipe) as exc:
-        status = "infeasible" if isinstance(exc, constructions.Infeasible) else "no-recipe"
-        _emit({"status": status, "reason": str(exc)}, args.format)
-        return 2
     except (ValueError, OSError) as exc:
         return _error(exc)
 

@@ -37,6 +37,7 @@ import functools
 import json
 from dataclasses import dataclass
 
+from ._jsontext import dumps_indented as _dumps_indented
 from .ambient import AmbientSurface, Check, by_name
 from .embedded import (
     SurfaceClass,
@@ -253,59 +254,6 @@ def _read(data: dict, key: str, kind, default=_REQUIRED, where: str = ""):
         raise MalformedCertificate(f"certificate is missing the field {path}")
     name = f"array of {_JSON_TYPES[kind[0]]}s" if type(kind) is list else _JSON_TYPES[kind]
     raise MalformedCertificate(f"{path} must be a JSON {name}, got {value!r}")
-
-
-_encode_str = json.encoder.encode_basestring_ascii  # the standard library's C escaper
-_INFINITY = float("inf")
-
-
-def _json_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INFINITY:
-        return "Infinity"
-    if x == -_INFINITY:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-# leaf type -> its JSON spelling as json.dumps writes it
-_JSON_LEAVES = {
-    str: _encode_str, int: int.__repr__, float: _json_float,
-    bool: lambda b: "true" if b else "false", type(None): lambda _: "null",
-}
-
-
-def _dumps_indented(obj, pad: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)`` byte for byte, with tuples as lists.
-    The standard encoder indents in pure Python; here containers are
-    joined strings and leaves take the C routines.  ``pad`` is the
-    newline and indentation that close ``obj``."""
-    leaf = _JSON_LEAVES.get(type(obj))
-    if leaf is not None:
-        return leaf(obj)
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [_json_key(k) + ": " + _dumps_indented(v, inner) for k, v in obj.items()]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        kinds = set(map(type, obj))
-        leaf = _JSON_LEAVES.get(kinds.pop()) if len(kinds) == 1 else None
-        items = map(leaf, obj) if leaf else [_dumps_indented(v, inner) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    return json.dumps(obj)  # a subclass of a leaf type; anything else raises TypeError
-
-
-def _json_key(key) -> str:
-    if isinstance(key, str):
-        return _encode_str(key)
-    if isinstance(key, (int, float)) or key is None:  # bool is an int
-        return _encode_str(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
 def _fields(obj) -> dict:

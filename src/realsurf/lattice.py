@@ -388,6 +388,13 @@ def characteristic_defect(L: Lattice, c: "HClass | Sequence[int]") -> int | None
     return None
 
 
+def is_even(L: Lattice) -> bool:
+    """Whether x . x is even for every class x, i.e. every diagonal entry
+    is even.  O(blocks), each block's parity memoized.  Not exported;
+    the ambient catalog uses it for Rokhlin's theorem."""
+    return all(_block_odd_diagonal(block) is None for block in L._blocks)
+
+
 def _swap_symmetric(m: list[list[int]], i: int, j: int) -> None:
     m[i], m[j] = m[j], m[i]
     for row in m:

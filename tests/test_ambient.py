@@ -13,7 +13,18 @@ from realsurf.ambient import (
     fiber_sum_check,
     k3,
 )
-from realsurf.lattice import HClass, Lattice, basis_class, determinant, diag, signature
+from realsurf.lattice import (
+    HClass,
+    Lattice,
+    basis_class,
+    determinant,
+    diag,
+    direct_sum,
+    e8_neg,
+    is_even,
+    pair,
+    signature,
+)
 
 
 def _np_signature(lat):
@@ -126,6 +137,29 @@ def test_constructor_rejects_c1_square_off_the_signature_theorem():
     h = basis_class(lat, 0)
     with pytest.raises(ValueError, match="signature theorem"):
         AmbientSurface("bad", lat, h, 3, {"h": h})
+
+
+def test_constructor_rejects_an_even_form_off_rokhlin():
+    # -E8 + 3H with c1 = 2(e + f) in the first H passes every other check:
+    # unimodular, c1 characteristic, c1.c1 = 8 = 2 * 16 + 3 * (-8)
+    lat = direct_sum([e8_neg(), pair(0), pair(0), pair(0)])
+    c1 = 2 * (basis_class(lat, 8) + basis_class(lat, 9))
+    with pytest.raises(ValueError, match="Rokhlin"):
+        AmbientSurface("bad", lat, c1, 16, {})
+
+
+@pytest.mark.parametrize(
+    "base, n, blow_ups",
+    [("e", 1, 0), ("e", 2, 0), ("e", 3, 0), ("e", 4, 0), ("e", 6, 0), ("k3", 0, 0),
+     ("cp2", 0, 0), ("cp2", 0, 1), ("cp2", 0, 9), ("cp2", 0, 17),
+     ("e", 2, 1), ("e", 4, 3), ("e", 5, 2), ("k3", 0, 16)],
+)
+def test_rokhlin_accepts_every_catalog_ambient(base, n, blow_ups):
+    name = f"e({n})" if base == "e" else base
+    x = by_name(name, blow_ups)
+    b_plus, b_minus, _ = signature(x.lattice)
+    assert is_even(x.lattice) == (base != "cp2" and n % 2 == 0 and blow_ups == 0)
+    assert not is_even(x.lattice) or (b_plus - b_minus) % 16 == 0
 
 
 def test_constructor_rejects_euler_char_off_the_rank():

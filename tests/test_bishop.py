@@ -805,6 +805,18 @@ def test_scanner_errors_name_the_failing_chart(make_chart, message):
         find_complex_points(surface, 64)
 
 
+@pytest.mark.xfail(strict=True, reason="Newton stops about 3e-7 from a double zero, so two "
+                   "boxes beside it each settle as a simple elliptic point")
+def test_off_centre_double_zero_is_unresolved():
+    # as delta = zbar^2 at the origin raises; here find_complex_points
+    # reports two points of winding +1 and alpha = inf, 2.3e-7 apart
+    a = 0.1234 + 0.2345j
+    chart = _detector_chart(lambda u, v: (u + 1j * v - a) ** 2)
+    surface = ParametrizedSurface("double-zero", (chart,), True, False, None, None)
+    with pytest.raises(UnresolvedCluster):
+        find_complex_points(surface, 64)
+
+
 # a pair of zeros 0.44 cells apart in neighbouring cells of the shifted
 # grid 64 over [-1, 1]: (u_40 -+ 0.22 h, v_20 + 0.5 h / + 0.55 h)
 _H = 2.0 / 64

@@ -427,14 +427,15 @@ def test_package_scanner_names_resolve():
 # --- the CLI as a process, the way users run it -------------------------------------
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-# runs the CLI as ``python -m realsurf.cli`` does, then reports on stderr
-# whether numpy was imported
-REPORT_NUMPY = (
+# runs the CLI as ``python -m realsurf.cli`` does, then reports on the last
+# line of stderr whether numpy and which realsurf submodules were imported
+REPORT_MODULES = (
     "import runpy, sys\n"
     "try:\n"
     "    runpy.run_module('realsurf.cli', run_name='__main__')\n"
     "finally:\n"
-    "    print('numpy' in sys.modules, file=sys.stderr)\n"
+    "    print('LOADED', *sorted(m for m in sys.modules\n"
+    "                            if m == 'numpy' or m.startswith('realsurf.')), file=sys.stderr)\n"
 )
 
 
@@ -449,11 +450,13 @@ def _cli_process(*argv, stdin=""):
 
 
 def _cli_numpy(*argv, stdin=""):
-    """Exit code, stdout and whether numpy was imported, of one CLI process."""
-    proc = _python("-c", REPORT_NUMPY, *argv, stdin=stdin)
+    """Exit code, stdout, whether numpy was imported and the set of
+    ``realsurf.*`` modules imported, of one CLI process."""
+    proc = _python("-c", REPORT_MODULES, *argv, stdin=stdin)
     last = proc.stderr.splitlines()[-1:]
-    assert last in (["True"], ["False"]), proc.stderr
-    return proc.returncode, proc.stdout, last == ["True"]
+    assert last and last[0].split()[:1] == ["LOADED"], proc.stderr
+    loaded = set(last[0].split()[1:])
+    return proc.returncode, proc.stdout, "numpy" in loaded, loaded - {"numpy"}
 
 
 EXACT_COMMANDS = {
@@ -496,16 +499,16 @@ def test_import_realsurf_does_not_import_numpy():
 
 @pytest.mark.parametrize("argv", EXACT_COMMANDS.values(), ids=list(EXACT_COMMANDS))
 def test_exact_commands_do_not_import_numpy(argv):
-    code, out, numpy_loaded = _cli_numpy(*argv, "--format", "json")
+    code, out, numpy_loaded, _ = _cli_numpy(*argv, "--format", "json")
     assert code == 0
     assert json.loads(out)
     assert not numpy_loaded
 
 
 def test_verify_from_stdin_does_not_import_numpy():
-    code, cert, _ = _cli_numpy(*EXACT_COMMANDS["certify"], "--format", "json")
+    code, cert, _, _ = _cli_numpy(*EXACT_COMMANDS["certify"], "--format", "json")
     assert code == 0
-    code, out, numpy_loaded = _cli_numpy("verify", "-", "--format", "json", stdin=cert)
+    code, out, numpy_loaded, _ = _cli_numpy("verify", "-", "--format", "json", stdin=cert)
     assert code == 0
     assert json.loads(out)["passed"] is True
     assert not numpy_loaded
@@ -520,15 +523,62 @@ def test_verify_from_stdin_does_not_import_numpy():
     ids=["certify-infeasible", "massey-malformed"],
 )
 def test_exact_failures_do_not_import_numpy(argv, expected):
-    code, _, numpy_loaded = _cli_numpy(*argv)
+    code, _, numpy_loaded, _ = _cli_numpy(*argv)
     assert code == expected
     assert not numpy_loaded
 
 
-def test_bishop_classify_imports_numpy():
-    code, _, numpy_loaded = _cli_numpy("bishop", "classify", "--a", "0", "--b", "1", "--c", "0")
+def test_bishop_classify_does_not_import_numpy():
+    code, _, numpy_loaded, modules = _cli_numpy("bishop", "classify", "--a", "0", "--b", "1", "--c", "0")
     assert code == 0
-    assert numpy_loaded
+    assert not numpy_loaded
+    assert not modules & {"realsurf.bishop", "realsurf.constructions", "realsurf.ambient",
+                          "realsurf.lattice"}
+
+
+@pytest.mark.parametrize("name", ["massey", "invariants", "ambient-info"])
+def test_exact_queries_do_not_load_the_certificate_engine(name):
+    code, _, _, modules = _cli_numpy(*EXACT_COMMANDS[name])
+    assert code == 0
+    assert "realsurf.constructions" not in modules
+
+
+def test_unknown_scan_surface_fails_before_numpy(capsys):
+    argv = ["bishop", "scan", "--surface", "klein-bottle"]
+    code, out, numpy_loaded, _ = _cli_numpy(*argv)
+    assert (code, out, numpy_loaded) == (1, "", False)
+    assert _run(capsys, *argv) == (1, "", (
+        "realsurf: error: unknown builtin surface 'klein-bottle'; available: "
+        "flat-torus, round-sphere, wrinkled-sphere, graph-normal-form:<alpha>\n"))
+
+
+def test_import_realsurf_loads_no_submodule():
+    proc = _python("-c", "import json, sys, realsurf\n"
+                         "print(json.dumps([sorted(m for m in sys.modules if m.startswith('realsurf.')),\n"
+                         "                  [n for n in dir(realsurf) if not n.startswith('_')]]))")
+    assert proc.returncode == 0, proc.stderr
+    modules, public = json.loads(proc.stdout)
+    assert modules == []
+    # the names the package offered when it imported its exact modules eagerly
+    assert public == [
+        "AmbientSurface", "Certificate", "HClass", "Infeasible", "Jet2", "Lattice", "NoRecipe",
+        "ParametrizedSurface", "PointType", "SurfaceClass", "Tolerances", "admissible_I",
+        "ambient", "bishop", "bishop_alpha", "blow_up", "builtin_surface", "by_name",
+        "classify", "connected_sum", "constructions", "cp2", "determinant", "diag",
+        "direct_sum", "e", "e8_neg", "embedded", "fiber_sum_check", "find_complex_points",
+        "i_pm", "i_total", "importlib", "invariant_report", "k3", "lattice", "massey_set",
+        "pair", "pairing", "resolve_union", "signature", "stein_basis_possible",
+        "stein_disc_bundle", "stein_disc_bundle_nonorientable", "survey",
+        "totally_real_nonorientable", "totally_real_oriented_in_k3", "totally_real_possible",
+        "verify_certificate",
+    ]
+
+
+def test_package_local_model_is_the_scanners():
+    from realsurf import bishop, local
+
+    for name in ("Jet2", "PointType", "Tolerances", "bishop_alpha", "classify"):
+        assert getattr(realsurf, name) is getattr(bishop, name) is getattr(local, name)
 
 
 def test_cli_process_scanner_error_exit_1():
