@@ -1,7 +1,9 @@
-"""``json.dumps(obj, indent=2)`` at a fraction of its cost, for the
-certificate encoder and the CLI's JSON output.  Only the standard
-library's ``json`` is imported here, so a command that prints JSON need
-not load the certificate engine.
+"""``json.dumps(obj, indent=2)`` at a fraction of its cost, for the CLI's
+JSON output and for certificates whose values fall outside their schema.
+``Certificate.to_json`` writes a certificate of exact schema types from
+its own templates, with the leaf spellings of ``_JSON_LEAVES``.  Only
+the standard library's ``json`` is imported here, so a command that
+prints JSON need not load the certificate engine.
 """
 
 import json

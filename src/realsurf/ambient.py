@@ -88,6 +88,10 @@ class AmbientSurface:
     named: Mapping[str, HClass]
 
     def __post_init__(self) -> None:
+        # name -> the catalog surface of that named class, built by the
+        # certificate replay on first use; not a field, so equality, repr
+        # and dataclasses.replace ignore it
+        object.__setattr__(self, "_named_surfaces", {})
         r = self.lattice.rank
         if len(self.c1) != r:
             raise ValueError(f"{self.label}: c1 has length {len(self.c1)}, rank is {r}")

@@ -196,7 +196,10 @@ def _cmd_certify(args) -> int:
         status = "infeasible" if isinstance(exc, constructions.Infeasible) else "no-recipe"
         _emit({"status": status, "reason": str(exc)}, args.format)
         return 2
-    _emit(cert.to_dict(), args.format)
+    if args.format == "json":
+        sys.stdout.write(cert.to_json() + "\n")
+    else:
+        _emit(cert.to_dict(), args.format)
     return 0
 
 

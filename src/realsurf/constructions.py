@@ -28,15 +28,24 @@ The four engines:
   (each lowers the normal Euler number by 1) or with one section of
   E(m) (which lowers it by m), landing the chart surface on normal
   Euler number n with I = chi + n <= 0.
+
+The JSON form has a fixed schema, read off the dataclass fields:
+``to_json`` fills one pre-indented template per record kind and
+``from_dict`` checks each field's exact type, both from the same
+tables.  A certificate holding any other type is written through
+``to_dict`` and the generic emitter, and a field that fails its check
+is read by ``_read``, so bytes and error messages are those of the
+generic path.  The replay takes a named class's catalog surface from
+its ambient's memo, so it is built and paired once per ambient.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 from dataclasses import dataclass
 
+from ._jsontext import _JSON_LEAVES, _encode_str
 from ._jsontext import dumps_indented as _dumps_indented
 from .ambient import AmbientSurface, Check, by_name
 from .embedded import (
@@ -194,15 +203,21 @@ class Certificate:
         }
 
     def to_json(self) -> str:
+        """``json.dumps(self.to_dict(), indent=2)``, byte for byte."""
+        if type(self) is Certificate:
+            try:
+                return _certificate_json(self)
+            except _OffSchema:
+                pass
         return _dumps_indented(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
-        ambient = functools.partial(_read, _read(data, "ambient", dict), where="ambient")
+        ambient = _read(data, "ambient", dict)
         steps = _read(data, "steps", list)
         return cls(
-            AmbientRecipe(ambient("base", str), ambient("blow_ups", int, 0)),
-            tuple(_step_from_dict(s, f"step[{i}]") for i, s in enumerate(steps)),
+            AmbientRecipe(*_decode(ambient, _FIELDS[AmbientRecipe], "ambient")),
+            tuple([_step_from_dict(s, i) for i, s in enumerate(steps)]),
             _claims_from_dict(_read(data, "claimed", dict)),
             _read(data, "notes", [str], ()),
         )
@@ -218,19 +233,39 @@ class Certificate:
 
 # --- JSON form ----------------------------------------------------------------
 
-# step kind -> (class, decoder from a reader of the step record's fields)
 _STEP_KINDS = {
-    "embed-in-chart": (EmbedInChart, lambda read: EmbedInChart(
-        read("chi", int), read("normal_euler", int), read("orientable", bool, False))),
-    "use-named-class": (UseNamedClass, lambda read: UseNamedClass(
-        read("name", str), read("chi", int))),
-    "resolve": (Resolve, lambda read: Resolve(read("parts", [int]), read("crossings", int))),
-    "connected-sum": (ConnectedSum, lambda read: ConnectedSum(read("operands", [int]))),
+    "embed-in-chart": EmbedInChart,
+    "use-named-class": UseNamedClass,
+    "resolve": Resolve,
+    "connected-sum": ConnectedSum,
 }
-_KIND_OF = {cls: kind for kind, (cls, _) in _STEP_KINDS.items()}
+_KIND_OF = {cls: kind for kind, cls in _STEP_KINDS.items()}
 
 _JSON_TYPES = {int: "integer", bool: "boolean", str: "string", dict: "object", list: "array"}
 _REQUIRED = object()
+
+# a field annotation -> the JSON type its value is read and written as;
+# [int] is an array of integers, held as a tuple
+_JSON_KIND = {"int": int, "bool": bool, "str": str, "tuple[int, ...]": [int]}
+
+
+def _schema(fields) -> tuple:
+    """``(name, JSON type, default)`` per dataclass field, in declaration
+    order.  A field without a default is required unless its annotation
+    admits None, which is then its default."""
+    out = []
+    for f in fields:
+        kind, _, none = f.type.partition(" | ")
+        default = f.default
+        if default is dataclasses.MISSING:
+            default = None if none == "None" else _REQUIRED
+        out.append((f.name, _JSON_KIND[kind], default))
+    return tuple(out)
+
+
+# every record's fields but the claimed disc bundle, which has its own form
+_FIELDS = {cls: _schema(dataclasses.fields(cls)) for cls in (AmbientRecipe, *_KIND_OF)}
+_FIELDS[Claims] = _schema(dataclasses.fields(Claims)[:-1])
 
 
 def _read(data: dict, key: str, kind, default=_REQUIRED, where: str = ""):
@@ -244,7 +279,7 @@ def _read(data: dict, key: str, kind, default=_REQUIRED, where: str = ""):
     value = data.get(key)
     if type(value) is kind:
         return value
-    if type(kind) is list and type(value) is list and all(type(x) is kind[0] for x in value):
+    if type(kind) is list and type(value) is list and set(map(type, value)) <= {kind[0]}:
         return tuple(value)
     if value is None and default is not _REQUIRED:
         if key not in data or default is None or default is False:
@@ -254,6 +289,44 @@ def _read(data: dict, key: str, kind, default=_REQUIRED, where: str = ""):
         raise MalformedCertificate(f"certificate is missing the field {path}")
     name = f"array of {_JSON_TYPES[kind[0]]}s" if type(kind) is list else _JSON_TYPES[kind]
     raise MalformedCertificate(f"{path} must be a JSON {name}, got {value!r}")
+
+
+def _decode(data: dict, fields: tuple, where: str) -> list:
+    """The values of an object's schema fields, in declaration order.  A
+    value of its field's exact JSON type is taken as it is; any other,
+    and every array, goes through ``_read``."""
+    out = []
+    for key, kind, default in fields:
+        value = data.get(key)
+        if type(value) is not kind:
+            value = _read(data, key, kind, default, where)
+        out.append(value)
+    return out
+
+
+def _step_from_dict(data: dict, index: int) -> Step:
+    where = f"step[{index}]"
+    kind = data.get("kind") if type(data) is dict else None
+    cls = _STEP_KINDS.get(kind) if type(kind) is str else None
+    if cls is None:
+        kind = _read(data, "kind", str, where=where)  # raises unless a string
+        raise MalformedCertificate(f"{where}: unknown step kind {kind!r}")
+    return cls(*_decode(data, _FIELDS[cls], where))
+
+
+def _claims_from_dict(data: dict) -> Claims:
+    disc = raw = _read(data, "disc_bundle", dict, None, "claimed")
+    if raw is not None:
+        where = "claimed.disc_bundle"
+        if raw.get("kind") == "D":
+            disc = DiscBundle(True, _read(raw, "euler_number", int, where=where),
+                              genus=_read(raw, "genus", int, where=where))
+        elif raw.get("kind") == "Dtilde":
+            disc = DiscBundle(False, _read(raw, "euler_number", int, where=where),
+                              chi=_read(raw, "chi", int, where=where))
+        else:
+            raise MalformedCertificate(f"unknown disc bundle kind in {raw!r}")
+    return Claims(*_decode(data, _FIELDS[Claims], "claimed"), disc)
 
 
 def _fields(obj) -> dict:
@@ -268,13 +341,6 @@ def _step_to_dict(step: Step) -> dict:
     return {"kind": _KIND_OF[type(step)], **_fields(step)}
 
 
-def _step_from_dict(data: dict, where: str) -> Step:
-    kind = _read(data, "kind", str, where=where)
-    if kind not in _STEP_KINDS:
-        raise MalformedCertificate(f"{where}: unknown step kind {kind!r}")
-    return _STEP_KINDS[kind][1](functools.partial(_read, data, where=where))
-
-
 def _claims_to_dict(c: Claims) -> dict:
     out, disc = _fields(c), c.disc_bundle
     if disc is not None and disc.orientable:
@@ -284,23 +350,95 @@ def _claims_to_dict(c: Claims) -> dict:
     return out
 
 
-def _claims_from_dict(data: dict) -> Claims:
-    read = functools.partial(_read, data, where="claimed")
-    disc = raw = read("disc_bundle", dict, None)
-    if raw is not None:
-        number = functools.partial(_read, raw, kind=int, where="claimed.disc_bundle")
-        if raw.get("kind") == "D":
-            disc = DiscBundle(True, number("euler_number"), genus=number("genus"))
-        elif raw.get("kind") == "Dtilde":
-            disc = DiscBundle(False, number("euler_number"), chi=number("chi"))
+# The text of to_json, written from the schema: json.dumps(to_dict(),
+# indent=2) puts each object or array entry on its own line, two spaces
+# deeper than the line that opens it.  Values of any type but the exact
+# schema types raise _OffSchema, and to_json then falls back to to_dict.
+
+
+class _OffSchema(Exception):
+    pass
+
+
+def _template(keys, pad: str, head: tuple = ()) -> str:
+    """An object closed at indentation ``pad``: the ``head`` entries as
+    written, then each key with a ``%s`` for its value."""
+    inner = pad + "  "
+    entries = [*head, *(f"{_encode_str(key)}: %s" for key in keys)]
+    return "{" + inner + ("," + inner).join(entries) + pad + "}"
+
+
+def _array_json(texts: list, pad: str) -> str:
+    """An array of the given element texts, closed at indentation ``pad``."""
+    if not texts:
+        return "[]"
+    inner = pad + "  "
+    return "[" + inner + ("," + inner).join(texts) + pad + "]"
+
+
+def _values_json(obj, fields: tuple, pad: str) -> tuple:
+    """The text of each schema field of ``obj``, an object closed at
+    indentation ``pad``: its exact JSON type, an array of it, or null."""
+    out = []
+    for value, (_, kind, _) in zip(vars(obj).values(), fields):
+        if type(value) is kind:
+            out.append(_JSON_LEAVES[kind](value))
+        elif value is None:
+            out.append("null")
+        elif type(kind) is list and type(value) is tuple and set(map(type, value)) <= {kind[0]}:
+            out.append(_array_json(list(map(_JSON_LEAVES[kind[0]], value)), pad + "  "))
         else:
-            raise MalformedCertificate(f"unknown disc bundle kind in {raw!r}")
-    # positional, in field order
-    return Claims(
-        read("orientable", bool), read("euler_char", int), read("normal_euler", int),
-        read("hclass", [int], None), read("i_total", int), read("i_plus", int, None),
-        read("i_minus", int, None), read("stein_basis_possible", bool, None),
-        read("totally_real_possible", bool, None), disc,
+            raise _OffSchema
+    return tuple(out)
+
+
+def _names(cls) -> tuple:
+    return tuple(name for name, _, _ in _FIELDS[cls])
+
+
+_STEP_JSON = {
+    cls: _template(_names(cls), "\n    ", (f'"kind": {_encode_str(kind)}',))
+    for cls, kind in _KIND_OF.items()
+}
+_AMBIENT_JSON = _template(_names(AmbientRecipe), "\n  ")
+_CLAIMS_JSON = _template((*_names(Claims), "disc_bundle"), "\n  ")
+# orientable -> the claimed disc bundle, its base genus or chi then its euler number
+_DISC_JSON = {
+    True: _template(("genus", "euler_number"), "\n    ", ('"kind": "D"',)),
+    False: _template(("chi", "euler_number"), "\n    ", ('"kind": "Dtilde"',)),
+}
+_CERTIFICATE_JSON = _template(("ambient", "steps", "claimed", "notes"), "\n")
+
+
+def _disc_json(disc) -> str:
+    if disc is None:
+        return "null"
+    if type(disc) is not DiscBundle or type(disc.orientable) is not bool:
+        raise _OffSchema
+    numbers = (disc.genus if disc.orientable else disc.chi, disc.euler_number)
+    if set(map(type, numbers)) != {int}:
+        raise _OffSchema
+    return _DISC_JSON[disc.orientable] % tuple(map(int.__repr__, numbers))
+
+
+def _certificate_json(cert: Certificate) -> str:
+    ambient, steps, claimed, notes = cert.ambient, cert.steps, cert.claimed, cert.notes
+    if (type(ambient) is not AmbientRecipe or type(claimed) is not Claims
+            or type(steps) is not tuple or type(notes) is not tuple
+            or not set(map(type, notes)) <= {str}):
+        raise _OffSchema
+    texts = []
+    for step in steps:
+        cls = type(step)
+        if cls not in _STEP_JSON:
+            raise _OffSchema
+        texts.append(_STEP_JSON[cls] % _values_json(step, _FIELDS[cls], "\n    "))
+    return _CERTIFICATE_JSON % (
+        _AMBIENT_JSON % _values_json(ambient, _FIELDS[AmbientRecipe], "\n  "),
+        _array_json(texts, "\n  "),
+        _CLAIMS_JSON % (*_values_json(claimed, _FIELDS[Claims], "\n  "),
+                        _disc_json(claimed.disc_bundle)),
+        _array_json(list(map(_encode_str, notes)), "\n  "),
     )
 
 
@@ -344,11 +482,18 @@ def _replay(ambient: AmbientSurface, steps: tuple[Step, ...]):
                     raise MalformedCertificate(
                         f"{tag}: {ambient.label} has no named class {step.name!r}"
                     )
-                # the surface's normal euler number is the square h.h
-                surface = SurfaceClass(ambient, True, step.chi, ambient.named[step.name], None)
+                # the ambient keeps the catalog surface of each named class
+                memo = ambient._named_surfaces
+                surface = memo.get(step.name)
+                if surface is None or type(step.chi) is not int or step.chi != surface.euler_char:
+                    # the surface's normal euler number is the square h.h
+                    surface = SurfaceClass(ambient, True, step.chi, ambient.named[step.name], None)
+                catalog_chi = 2 if surface.normal_euler != 0 else 0
+                if type(step.chi) is int and step.chi == catalog_chi:
+                    memo[step.name] = surface
                 checks.append(
                     Check(f"{tag}: named class {step.name!r} has its catalog euler characteristic",
-                          2 if surface.normal_euler != 0 else 0, step.chi)
+                          catalog_chi, step.chi)
                 )
                 registry.append(surface)
             elif isinstance(step, Resolve):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from realsurf import constructions, lattice
+from realsurf.ambient import by_name, e, k3
 from realsurf.constructions import (
     AmbientRecipe,
     Certificate,
@@ -543,9 +545,9 @@ def _wrong_values(value):
     return [1.5, "1", False]  # null: an optional integer, boolean, array or object
 
 
-@pytest.mark.parametrize("engine", ENGINE_CERTIFICATES)
-def test_every_wrong_typed_field_is_malformed(engine):
-    data = ENGINE_CERTIFICATES[engine]().to_dict()
+def _field_paths(data):
+    """The path of every scalar and array element of a certificate dict's
+    records: the ambient, each step, the claims and the disc bundle."""
     records = [("ambient",), *(("steps", i) for i in range(len(data["steps"]))), ("claimed",)]
     if data["claimed"]["disc_bundle"] is not None:
         records.append(("claimed", "disc_bundle"))
@@ -559,6 +561,13 @@ def test_every_wrong_typed_field_is_malformed(engine):
                 paths += [(*record, key, i) for i in range(len(value))]
             elif not isinstance(value, dict):
                 paths.append((*record, key))
+    return paths
+
+
+@pytest.mark.parametrize("engine", ENGINE_CERTIFICATES)
+def test_every_wrong_typed_field_is_malformed(engine):
+    data = ENGINE_CERTIFICATES[engine]().to_dict()
+    paths = _field_paths(data)
     assert len(paths) > 20
     for path in paths:
         value = data
@@ -655,16 +664,19 @@ def _counted_pairings(monkeypatch) -> list:
 
 def test_certify_and_verify_pair_each_class_once(monkeypatch):
     calls = _counted_pairings(monkeypatch)
-    AmbientRecipe("E(4)").build()  # warm: a build pairs c1 with itself
+    by_name.cache_clear()
+    AmbientRecipe("E(4)").build()  # cold: no named surface built yet; a build pairs c1 with itself
     calls.clear()
     cert = stein_disc_bundle(12, 20)
-    # 13 named steps and the resolved union square once each, I+- pairs c1
-    # once and reads the square from the normal euler number
-    assert len(calls) == 15
+    # the squares of s and f, each once for its 1 and 12 steps, then the
+    # resolved union's square; I+- pairs c1 once and reads the square from
+    # the normal euler number
+    assert len(calls) == 4
     decoded = Certificate.from_json(cert.to_json())
     calls.clear()
     assert verify_certificate(decoded).passed
-    assert len(calls) == 15
+    # the named surfaces come from the ambient's memo
+    assert len(calls) == 2
 
 
 def test_each_replay_step_builds_one_surface(monkeypatch):
@@ -676,11 +688,18 @@ def test_each_replay_step_builds_one_surface(monkeypatch):
         post_init(self)
 
     monkeypatch.setattr(constructions.SurfaceClass, "__post_init__", counted)
-    for cert in (stein_disc_bundle(6, 4), totally_real_nonorientable(-1, "e3"),
-                 stein_disc_bundle_nonorientable(-8, -30, "blow-up-cp2")):
+    by_name.cache_clear()
+    # (engine on a cold ambient, distinct named classes, other steps)
+    for make, named, others in ((lambda: stein_disc_bundle(6, 4), 2, 1),
+                                (lambda: totally_real_nonorientable(-1, "e3"), 2, 2),
+                                (lambda: stein_disc_bundle_nonorientable(-8, -30, "blow-up-cp2"),
+                                 10, 2)):
+        built.clear()
+        cert = make()
+        assert len(built) == named + others
         built.clear()
         verify_certificate(cert)
-        assert len(built) == len(cert.steps)
+        assert len(built) == others
 
 
 def test_connected_sum_step_pairs_only_classes_that_share_a_block(monkeypatch):
@@ -711,3 +730,364 @@ def test_chart_step_check_is_constant_time():
     failures = verify_certificate(outside).failures()
     assert time.perf_counter() - start < 0.1
     assert failures[0].name == "step[0]: chart normal euler number is realizable"
+
+
+# --- the schema emitter and decoder ---------------------------------------------
+
+
+def _engine_sweep():
+    """Certificates of all four engines over a grid of their parameters."""
+    for g in range(41):
+        yield totally_real_oriented_in_k3(g)
+    for kind in ("k3", "k3-blow-up", "e3"):
+        for chi in range(-40, 2):
+            if kind != "k3" or chi % 2 == 0:
+                yield totally_real_nonorientable(chi, kind)
+    for g in range(31):
+        for m in (2, 3, 5, 8):
+            yield stein_disc_bundle(g, 2 * g - m)
+    for chi in range(-12, 2):
+        for n in range(-chi, -chi - 10, -3):
+            for strategy in ("blow-up-cp2", "section-of-em"):
+                yield stein_disc_bundle_nonorientable(chi, n, strategy)
+
+
+# the SHA-256 of every _engine_sweep certificate's to_json text, each
+# followed by a NUL, as the generic emitter wrote them
+SWEEP_SHA256 = "a0f4a7ad47e21e2e70bac6d0246d09f1cd962f523977719fa242d72bcbac4a4c"
+
+
+def test_to_json_is_byte_identical_over_an_engine_sweep():
+    digest = hashlib.sha256()
+    count = 0
+    for cert in _engine_sweep():
+        text = cert.to_json()
+        assert text == json.dumps(cert.to_dict(), indent=2)
+        assert Certificate.from_json(text) == cert
+        digest.update(text.encode() + b"\0")
+        count += 1
+    assert count == 41 + 21 + 42 + 42 + 31 * 4 + 14 * 4 * 2
+    assert digest.hexdigest() == SWEEP_SHA256
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+def _off_schema_certificates():
+    """Hand-built certificates: values outside the schema's exact types,
+    and exact ones that exercise the string escaper and empty arrays."""
+    numpy = pytest.importorskip("numpy")
+    cert = stein_disc_bundle(2, 0)
+    claimed, steps = cert.claimed, cert.steps
+    hclass, last = claimed.hclass, steps[-1]
+
+    def claims(**changes):
+        return dataclasses.replace(cert, claimed=dataclasses.replace(claimed, **changes))
+
+    empty_claims = Claims(True, 2, 0, (), 2, None, None)
+    return {
+        "numpy-int64-in-hclass": claims(hclass=(numpy.int64(1), *hclass[1:])),
+        "numpy-int64-hclass": claims(hclass=tuple(numpy.array(hclass, dtype=numpy.int64))),
+        "int-subclass-in-hclass": claims(hclass=(*hclass[:-1], _Int(hclass[-1]))),
+        "int-subclass-euler-char": claims(euler_char=_Int(-2)),
+        "int-subclass-blow-ups": dataclasses.replace(cert, ambient=AmbientRecipe("E(4)", _Int(0))),
+        "bool-for-int": dataclasses.replace(cert, steps=(UseNamedClass("s", True), *steps[1:])),
+        "str-subclass-name": dataclasses.replace(cert, steps=(UseNamedClass(_Str("s"), 2),
+                                                              *steps[1:])),
+        "list-parts": dataclasses.replace(cert, steps=(*steps[:-1],
+                                                       Resolve(list(last.parts), last.crossings))),
+        "list-hclass": claims(hclass=list(hclass)),
+        "none-required": claims(euler_char=None, i_total=None),
+        "float-field": claims(normal_euler=2.0),
+        "disc-genus-none": claims(disc_bundle=DiscBundle(True, 0)),
+        "disc-orientable-int": claims(disc_bundle=DiscBundle(1, 0, genus=2)),
+        "disc-dict": claims(disc_bundle={"kind": "D"}),
+        "unknown-step": dataclasses.replace(cert, steps=(*steps, object())),
+        "notes-list": dataclasses.replace(cert, notes=["a list"]),
+        "notes-escaped": dataclasses.replace(cert, notes=(
+            'say "hi"\n\tand \\', "\u2028\u2029\x00\x7f", "\U0001f600 \ud800 é €", "")),
+        "notes-str-subclass": dataclasses.replace(cert, notes=(_Str("x"),)),
+        "empty-arrays": Certificate(AmbientRecipe("K3"), (ConnectedSum(()), Resolve((), 0)),
+                                    empty_claims),
+        "no-steps": Certificate(AmbientRecipe("K3"), (), empty_claims),
+    }
+
+
+def _outcome(write):
+    try:
+        return write()
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+# the SHA-256 of the _off_schema_certificates outcomes, in order, each
+# followed by a NUL: the to_json text, or the exception's type and message,
+# as the generic emitter gave them
+OFF_SCHEMA_SHA256 = "c06a8d9d8b7945e6f69a9c2d8e289f54d3e7aa2024432d306f033950faf6e494"
+
+
+def test_to_json_outside_the_schema_keeps_the_generic_bytes_and_errors():
+    digest = hashlib.sha256()
+    for name, cert in _off_schema_certificates().items():
+        got = _outcome(cert.to_json)
+        assert got == _outcome(lambda: json.dumps(cert.to_dict(), indent=2)), name
+        digest.update(got.encode("utf-8", "surrogatepass") + b"\0")
+    assert digest.hexdigest() == OFF_SCHEMA_SHA256
+    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+        _off_schema_certificates()["numpy-int64-in-hclass"].to_json()
+
+
+def _records(data):
+    """Every object of a certificate dict: the root, the ambient, each
+    step, the claims and a claimed disc bundle."""
+    claimed = data["claimed"]
+    disc = [] if claimed.get("disc_bundle") is None else [claimed["disc_bundle"]]
+    return [data, data["ambient"], *data["steps"], claimed, *disc]
+
+
+def _reversed_keys(value):
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [_reversed_keys(v) for v in value]
+    return value
+
+
+def _spellings(text):
+    """Other spellings of a certificate's JSON that decode to the same
+    certificate: every object's keys reversed, an unknown key in each
+    record, the optional fields at their defaults absent, and those whose
+    default is null or false written as null."""
+    yield "reordered", _reversed_keys(json.loads(text))
+    for i in range(len(_records(json.loads(text)))):
+        data = json.loads(text)
+        _records(data)[i]["x-unknown"] = {"kind": "fold", "chi": [1.5, None]}
+        yield f"unknown key in record {i}", data
+    absent, nulled = json.loads(text), json.loads(text)
+    if absent["ambient"]["blow_ups"] == 0:
+        del absent["ambient"]["blow_ups"]
+    if absent["notes"] == []:
+        del absent["notes"]
+    for step, same in zip(absent["steps"], nulled["steps"]):
+        if step.get("orientable") is False:
+            del step["orientable"]
+            same["orientable"] = None
+    for key in [key for key, value in absent["claimed"].items() if value is None]:
+        del absent["claimed"][key]
+    yield "absent optionals", absent
+    yield "null optionals", nulled
+
+
+def test_decoder_reads_every_spelling_of_an_engine_certificate():
+    for cert in _engine_sweep():
+        for how, data in _spellings(cert.to_json()):
+            assert Certificate.from_dict(data) == cert, how
+
+
+def _malformed_messages(data):
+    """The message of every test_every_wrong_typed_field_is_malformed mutant
+    of a certificate dict, in order."""
+    out = []
+    for path in _field_paths(data):
+        value = data
+        for key in path:
+            value = value[key]
+        for wrong in _wrong_values(value):
+            with pytest.raises(MalformedCertificate) as info:
+                Certificate.from_dict(_set(json.loads(json.dumps(data)), path, wrong))
+            out.append(str(info.value))
+    return out
+
+
+# per engine, the SHA-256 of its mutants' messages joined by newlines
+MALFORMED_MESSAGES_SHA256 = {
+    "totally-real-oriented":
+        "ecc01852b407a57189651f20a64a73875b2b4dd1ec0152785d24262229492d6c",
+    "totally-real":
+        "7ddfff147d5f8bb4276373c5c6abe1af34cbc9b67091bdc5d6eb2145292465b5",
+    "stein-disc":
+        "675c74db04bacaa953fcdd0ab45770be6b4828c1204b675a4127ebcd7f05fbab",
+    "stein-disc-nonorientable":
+        "176caaa0f09ff4b2f359c4e772681d9d6c023792511d7215173f87594d7594c7",
+}
+
+# every mutant message of one engine's certificate, in order
+STEIN_DISC_NONORIENTABLE_MESSAGES = [
+    "ambient.base must be a JSON string, got 1.5",
+    "ambient.base must be a JSON string, got 1",
+    "ambient.base must be a JSON string, got True",
+    "ambient.base must be a JSON string, got ['CP2']",
+    "ambient.blow_ups must be a JSON integer, got 1.5",
+    "ambient.blow_ups must be a JSON integer, got True",
+    "ambient.blow_ups must be a JSON integer, got '1'",
+    "ambient.blow_ups must be a JSON integer, got [1]",
+    "step[0].kind must be a JSON string, got 1.5",
+    "step[0].kind must be a JSON string, got 1",
+    "step[0].kind must be a JSON string, got True",
+    "step[0].kind must be a JSON string, got ['embed-in-chart']",
+    "step[0].chi must be a JSON integer, got 1.5",
+    "step[0].chi must be a JSON integer, got True",
+    "step[0].chi must be a JSON integer, got '-1'",
+    "step[0].chi must be a JSON integer, got [-1]",
+    "step[0].normal_euler must be a JSON integer, got 1.5",
+    "step[0].normal_euler must be a JSON integer, got True",
+    "step[0].normal_euler must be a JSON integer, got '-2'",
+    "step[0].normal_euler must be a JSON integer, got [-2]",
+    "step[0].orientable must be a JSON boolean, got 1.5",
+    "step[0].orientable must be a JSON boolean, got 1",
+    "step[0].orientable must be a JSON boolean, got 'true'",
+    "step[1].kind must be a JSON string, got 1.5",
+    "step[1].kind must be a JSON string, got 1",
+    "step[1].kind must be a JSON string, got True",
+    "step[1].kind must be a JSON string, got ['use-named-class']",
+    "step[1].name must be a JSON string, got 1.5",
+    "step[1].name must be a JSON string, got 1",
+    "step[1].name must be a JSON string, got True",
+    "step[1].name must be a JSON string, got ['e1']",
+    "step[1].chi must be a JSON integer, got 1.5",
+    "step[1].chi must be a JSON integer, got True",
+    "step[1].chi must be a JSON integer, got '2'",
+    "step[1].chi must be a JSON integer, got [2]",
+    "step[2].kind must be a JSON string, got 1.5",
+    "step[2].kind must be a JSON string, got 1",
+    "step[2].kind must be a JSON string, got True",
+    "step[2].kind must be a JSON string, got ['connected-sum']",
+    "step[2].operands must be a JSON array of integers, got [1.5, 1]",
+    "step[2].operands must be a JSON array of integers, got [True, 1]",
+    "step[2].operands must be a JSON array of integers, got ['0', 1]",
+    "step[2].operands must be a JSON array of integers, got [[0], 1]",
+    "step[2].operands must be a JSON array of integers, got [0, 1.5]",
+    "step[2].operands must be a JSON array of integers, got [0, True]",
+    "step[2].operands must be a JSON array of integers, got [0, '1']",
+    "step[2].operands must be a JSON array of integers, got [0, [1]]",
+    "claimed.orientable must be a JSON boolean, got 1.5",
+    "claimed.orientable must be a JSON boolean, got 1",
+    "claimed.orientable must be a JSON boolean, got 'true'",
+    "claimed.euler_char must be a JSON integer, got 1.5",
+    "claimed.euler_char must be a JSON integer, got True",
+    "claimed.euler_char must be a JSON integer, got '-1'",
+    "claimed.euler_char must be a JSON integer, got [-1]",
+    "claimed.normal_euler must be a JSON integer, got 1.5",
+    "claimed.normal_euler must be a JSON integer, got True",
+    "claimed.normal_euler must be a JSON integer, got '-3'",
+    "claimed.normal_euler must be a JSON integer, got [-3]",
+    "claimed.hclass must be a JSON array of integers, got [1.5, 1]",
+    "claimed.hclass must be a JSON array of integers, got [True, 1]",
+    "claimed.hclass must be a JSON array of integers, got ['0', 1]",
+    "claimed.hclass must be a JSON array of integers, got [[0], 1]",
+    "claimed.hclass must be a JSON array of integers, got [0, 1.5]",
+    "claimed.hclass must be a JSON array of integers, got [0, True]",
+    "claimed.hclass must be a JSON array of integers, got [0, '1']",
+    "claimed.hclass must be a JSON array of integers, got [0, [1]]",
+    "claimed.i_total must be a JSON integer, got 1.5",
+    "claimed.i_total must be a JSON integer, got True",
+    "claimed.i_total must be a JSON integer, got '-4'",
+    "claimed.i_total must be a JSON integer, got [-4]",
+    "claimed.i_plus must be a JSON integer, got 1.5",
+    "claimed.i_plus must be a JSON integer, got '1'",
+    "claimed.i_plus must be a JSON integer, got False",
+    "claimed.i_minus must be a JSON integer, got 1.5",
+    "claimed.i_minus must be a JSON integer, got '1'",
+    "claimed.i_minus must be a JSON integer, got False",
+    "claimed.stein_basis_possible must be a JSON boolean, got 1.5",
+    "claimed.stein_basis_possible must be a JSON boolean, got 1",
+    "claimed.stein_basis_possible must be a JSON boolean, got 'true'",
+    "claimed.totally_real_possible must be a JSON boolean, got 1.5",
+    "claimed.totally_real_possible must be a JSON boolean, got 1",
+    "claimed.totally_real_possible must be a JSON boolean, got 'true'",
+    "unknown disc bundle kind in {'kind': 1.5, 'chi': -1, 'euler_number': -3}",
+    "unknown disc bundle kind in {'kind': 1, 'chi': -1, 'euler_number': -3}",
+    "unknown disc bundle kind in {'kind': True, 'chi': -1, 'euler_number': -3}",
+    "unknown disc bundle kind in {'kind': ['Dtilde'], 'chi': -1, 'euler_number': -3}",
+    "claimed.disc_bundle.chi must be a JSON integer, got 1.5",
+    "claimed.disc_bundle.chi must be a JSON integer, got True",
+    "claimed.disc_bundle.chi must be a JSON integer, got '-1'",
+    "claimed.disc_bundle.chi must be a JSON integer, got [-1]",
+    "claimed.disc_bundle.euler_number must be a JSON integer, got 1.5",
+    "claimed.disc_bundle.euler_number must be a JSON integer, got True",
+    "claimed.disc_bundle.euler_number must be a JSON integer, got '-3'",
+    "claimed.disc_bundle.euler_number must be a JSON integer, got [-3]",
+]
+
+# the exact message of each WRONG_TYPES mutant
+WRONG_TYPE_MESSAGES = [
+    "claimed.orientable must be a JSON boolean, got 'yes'",
+    "claimed.hclass must be a JSON array of integers, got [0.9, " + "0, " * 19 + "2, 1]",
+    "step[0].chi must be a JSON integer, got '2'",
+    "claimed.totally_real_possible must be a JSON boolean, got 1",
+    "ambient.blow_ups must be a JSON integer, got 0.7",
+    "notes must be a JSON array of strings, got 'abc'",
+    "step[3].crossings must be a JSON integer, got True",
+    "claimed.euler_char must be a JSON integer, got 'abc'",
+]
+
+
+@pytest.mark.parametrize("engine", ENGINE_CERTIFICATES)
+def test_malformed_messages_are_pinned(engine):
+    messages = _malformed_messages(ENGINE_CERTIFICATES[engine]().to_dict())
+    if engine == "stein-disc-nonorientable":
+        assert messages == STEIN_DISC_NONORIENTABLE_MESSAGES
+    digest = hashlib.sha256("\n".join(messages).encode()).hexdigest()
+    assert digest == MALFORMED_MESSAGES_SHA256[engine]
+
+
+def test_wrong_types_messages_are_pinned():
+    messages = []
+    for path, value, _ in WRONG_TYPES:
+        text = json.dumps(_set(totally_real_oriented_in_k3(2).to_dict(), path, value))
+        with pytest.raises(MalformedCertificate) as info:
+            Certificate.from_json(text)
+        messages.append(str(info.value))
+    assert messages == WRONG_TYPE_MESSAGES
+
+
+# --- the named-surface memo ---------------------------------------------------
+
+
+def test_named_surface_memo_holds_one_catalog_surface_per_class():
+    by_name.cache_clear()
+    ambient = AmbientRecipe("K3").build()
+    # 1,000 spheres in s written as tori: each a failed check, none memoized
+    wrong = (*[UseNamedClass("s", 0)] * 1000, Resolve(tuple(range(1000)), 999000))
+    claimed = Claims(True, -1998000, -2000000, None, -3998000, None, None)
+    wrong_cert = Certificate(AmbientRecipe("K3"), wrong, claimed)
+    report = verify_certificate(wrong_cert)
+    named = [c for c in report.checks if "named class" in c.name]
+    assert len(named) == 1000
+    assert all(c.name.endswith("named class 's' has its catalog euler characteristic")
+               and (c.expected, c.actual) == (2, 0) for c in named)
+    assert report.passed is False and ambient._named_surfaces == {}
+    for _ in range(3):
+        assert verify_certificate(totally_real_oriented_in_k3(4)).passed
+        assert verify_certificate(totally_real_nonorientable(-2, "k3")).passed
+    memo = ambient._named_surfaces
+    assert sorted(memo) == ["f", "s"]
+    # with s memoized, a wrong chi still builds and replays its own surface
+    assert verify_certificate(wrong_cert) == report
+    steps = (UseNamedClass("s", 4),)
+    with pytest.raises(MalformedCertificate, match=r"step\[0\]: an orientable closed surface"):
+        verify_certificate(Certificate(AmbientRecipe("K3"), steps, claimed))
+    # so does a chi of another type, which the surface keeps
+    for chi in (2.0, _Int(2)):
+        surface, _ = constructions._replay(ambient, (UseNamedClass("s", chi),))
+        assert surface is not memo["s"] and type(surface.euler_char) is type(chi)
+    assert sorted(memo) == ["f", "s"]
+    assert (memo["f"].euler_char, memo["s"].euler_char) == (0, 2)
+    assert memo["f"].ambient is ambient and memo["s"].ambient is ambient
+
+
+def test_each_ambient_has_its_own_named_surface_memo():
+    base = e(2)
+    constructions._replay(base, (UseNamedClass("s", 2),))
+    assert list(base._named_surfaces) == ["s"]
+    renamed = dataclasses.replace(base, label="K3")
+    assert renamed._named_surfaces == {} and k3()._named_surfaces == {}
+    # the memo is not a field: equality, repr and replace ignore it
+    assert renamed == k3() and dataclasses.replace(base) == base
+    assert "_named_surfaces" not in repr(base)
+    assert "_named_surfaces" not in {f.name for f in dataclasses.fields(base)}
