@@ -73,9 +73,9 @@ def _emit_text(obj, stream, indent=0):
 def _emit(payload, fmt, stream=None):
     stream = stream or sys.stdout
     if fmt == "json":
-        from ._jsontext import dumps_indented
+        import json
 
-        stream.write(dumps_indented(payload) + "\n")
+        stream.write(json.dumps(payload, indent=2) + "\n")
     else:
         _emit_text(payload, stream)
 

@@ -32,11 +32,12 @@ The four engines:
 The JSON form has a fixed schema, read off the dataclass fields:
 ``to_json`` fills one pre-indented template per record kind and
 ``from_dict`` checks each field's exact type, both from the same
-tables.  A certificate holding any other type is written through
-``to_dict`` and the generic emitter, and a field that fails its check
-is read by ``_read``, so bytes and error messages are those of the
-generic path.  The replay takes a named class's catalog surface from
-its ambient's memo, so it is built and paired once per ambient.
+tables.  ``to_json`` raises TypeError naming a field whose value is
+not of its schema type, and ``to_dict`` is the parsed text.  A field
+that fails its check on reading goes to ``_read``, which raises the
+MalformedCertificate that names it.  The replay takes a named class's
+catalog surface from its ambient's memo, so it is built and paired
+once per ambient.
 """
 
 from __future__ import annotations
@@ -45,8 +46,6 @@ import dataclasses
 import json
 from dataclasses import dataclass
 
-from ._jsontext import _JSON_LEAVES, _encode_str
-from ._jsontext import dumps_indented as _dumps_indented
 from .ambient import AmbientSurface, Check, by_name
 from .embedded import (
     SurfaceClass,
@@ -195,21 +194,14 @@ class Certificate:
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
-        return {
-            "ambient": _fields(self.ambient),
-            "steps": [_step_to_dict(s) for s in self.steps],
-            "claimed": _claims_to_dict(self.claimed),
-            "notes": list(self.notes),
-        }
+        """The parsed text of ``to_json``."""
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)``, byte for byte."""
-        if type(self) is Certificate:
-            try:
-                return _certificate_json(self)
-            except _OffSchema:
-                pass
-        return _dumps_indented(self.to_dict())
+        """The certificate as ``json.dumps(..., indent=2)`` writes its
+        schema form.  A value whose type is not exactly its field's schema
+        type raises TypeError naming the field."""
+        return _certificate_json(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
@@ -266,6 +258,8 @@ def _schema(fields) -> tuple:
 # every record's fields but the claimed disc bundle, which has its own form
 _FIELDS = {cls: _schema(dataclasses.fields(cls)) for cls in (AmbientRecipe, *_KIND_OF)}
 _FIELDS[Claims] = _schema(dataclasses.fields(Claims)[:-1])
+# a claimed disc bundle's kind -> its base's orientability and the field naming the base
+_DISC_KINDS = {"D": (True, "genus"), "Dtilde": (False, "chi")}
 
 
 def _read(data: dict, key: str, kind, default=_REQUIRED, where: str = ""):
@@ -318,46 +312,36 @@ def _claims_from_dict(data: dict) -> Claims:
     disc = raw = _read(data, "disc_bundle", dict, None, "claimed")
     if raw is not None:
         where = "claimed.disc_bundle"
-        if raw.get("kind") == "D":
-            disc = DiscBundle(True, _read(raw, "euler_number", int, where=where),
-                              genus=_read(raw, "genus", int, where=where))
-        elif raw.get("kind") == "Dtilde":
-            disc = DiscBundle(False, _read(raw, "euler_number", int, where=where),
-                              chi=_read(raw, "chi", int, where=where))
+        for kind, (orientable, base) in _DISC_KINDS.items():
+            if raw.get("kind") == kind:
+                disc = DiscBundle(orientable, _read(raw, "euler_number", int, where=where),
+                                  **{base: _read(raw, base, int, where=where)})
+                break
         else:
             raise MalformedCertificate(f"unknown disc bundle kind in {raw!r}")
     return Claims(*_decode(data, _FIELDS[Claims], "claimed"), disc)
 
 
-def _fields(obj) -> dict:
-    """A dataclass's fields in declaration order, which is the order its
-    ``__init__`` sets them in, with tuples as lists."""
-    return {name: list(v) if isinstance(v, tuple) else v for name, v in vars(obj).items()}
+# The text of to_json, written from the schema: json.dumps(..., indent=2)
+# puts each object or array entry on its own line, two spaces deeper than
+# the line that opens it.  A value of any other type than its field's
+# raises TypeError, with the field's path spelled as the reader spells it.
+
+_encode_str = json.encoder.encode_basestring_ascii  # the standard library's C escaper
+# schema leaf type -> its JSON spelling
+_LEAVES = {int: int.__repr__, bool: lambda b: "true" if b else "false", str: _encode_str}
 
 
-def _step_to_dict(step: Step) -> dict:
-    if type(step) not in _KIND_OF:
-        raise MalformedCertificate(f"unknown step type {type(step).__name__}")
-    return {"kind": _KIND_OF[type(step)], **_fields(step)}
+def _off_schema(path: str, value, expected: str) -> TypeError:
+    """Names the value's type and the value, or an array's element types."""
+    array = isinstance(value, (tuple, list)) and value
+    got = " of " + ", ".join(sorted({type(v).__name__ for v in value})) if array else f" {value!r}"
+    return TypeError(f"{path} must be {expected}, got {type(value).__name__}{got}")
 
 
-def _claims_to_dict(c: Claims) -> dict:
-    out, disc = _fields(c), c.disc_bundle
-    if disc is not None and disc.orientable:
-        out["disc_bundle"] = {"kind": "D", "genus": disc.genus, "euler_number": disc.euler_number}
-    elif disc is not None:
-        out["disc_bundle"] = {"kind": "Dtilde", "chi": disc.chi, "euler_number": disc.euler_number}
-    return out
-
-
-# The text of to_json, written from the schema: json.dumps(to_dict(),
-# indent=2) puts each object or array entry on its own line, two spaces
-# deeper than the line that opens it.  Values of any type but the exact
-# schema types raise _OffSchema, and to_json then falls back to to_dict.
-
-
-class _OffSchema(Exception):
-    pass
+def _step_path(steps: tuple, step) -> str:
+    """A failing step's path: steps are written in order, so its first index by identity."""
+    return f"step[{next(i for i, s in enumerate(steps) if s is step)}]"
 
 
 def _template(keys, pad: str, head: tuple = ()) -> str:
@@ -376,19 +360,23 @@ def _array_json(texts: list, pad: str) -> str:
     return "[" + inner + ("," + inner).join(texts) + pad + "]"
 
 
-def _values_json(obj, fields: tuple, pad: str) -> tuple:
+def _values_json(obj, fields: tuple, pad: str, where) -> tuple:
     """The text of each schema field of ``obj``, an object closed at
-    indentation ``pad``: its exact JSON type, an array of it, or null."""
+    indentation ``pad``: its exact JSON type, an array of it, or null
+    where the field defaults to None.  ``where`` is the object's path, or
+    for a step the steps."""
     out = []
-    for value, (_, kind, _) in zip(vars(obj).values(), fields):
+    for value, (key, kind, default) in zip(vars(obj).values(), fields):
         if type(value) is kind:
-            out.append(_JSON_LEAVES[kind](value))
-        elif value is None:
+            out.append(_LEAVES[kind](value))
+        elif value is None and default is None:
             out.append("null")
         elif type(kind) is list and type(value) is tuple and set(map(type, value)) <= {kind[0]}:
-            out.append(_array_json(list(map(_JSON_LEAVES[kind[0]], value)), pad + "  "))
+            out.append(_array_json(list(map(_LEAVES[kind[0]], value)), pad + "  "))
         else:
-            raise _OffSchema
+            where = _step_path(where, obj) if type(where) is tuple else where
+            expected = f"a tuple of {kind[0].__name__}" if type(kind) is list else kind.__name__
+            raise _off_schema(f"{where}.{key}", value, expected)
     return tuple(out)
 
 
@@ -402,10 +390,10 @@ _STEP_JSON = {
 }
 _AMBIENT_JSON = _template(_names(AmbientRecipe), "\n  ")
 _CLAIMS_JSON = _template((*_names(Claims), "disc_bundle"), "\n  ")
-# orientable -> the claimed disc bundle, its base genus or chi then its euler number
+# orientable -> the disc bundle's template, its base then its euler number, and the base field
 _DISC_JSON = {
-    True: _template(("genus", "euler_number"), "\n    ", ('"kind": "D"',)),
-    False: _template(("chi", "euler_number"), "\n    ", ('"kind": "Dtilde"',)),
+    orientable: (_template((base, "euler_number"), "\n    ", (f'"kind": "{kind}"',)), base)
+    for kind, (orientable, base) in _DISC_KINDS.items()
 }
 _CERTIFICATE_JSON = _template(("ambient", "steps", "claimed", "notes"), "\n")
 
@@ -413,30 +401,34 @@ _CERTIFICATE_JSON = _template(("ambient", "steps", "claimed", "notes"), "\n")
 def _disc_json(disc) -> str:
     if disc is None:
         return "null"
-    if type(disc) is not DiscBundle or type(disc.orientable) is not bool:
-        raise _OffSchema
-    numbers = (disc.genus if disc.orientable else disc.chi, disc.euler_number)
-    if set(map(type, numbers)) != {int}:
-        raise _OffSchema
-    return _DISC_JSON[disc.orientable] % tuple(map(int.__repr__, numbers))
+    if type(disc) is DiscBundle and type(disc.orientable) is bool:
+        template, base = _DISC_JSON[disc.orientable]
+        numbers = (getattr(disc, base), disc.euler_number)
+        if set(map(type, numbers)) == {int}:
+            return template % tuple(map(int.__repr__, numbers))
+    raise _off_schema("claimed.disc_bundle", disc, "a DiscBundle of a bool and ints")
 
 
 def _certificate_json(cert: Certificate) -> str:
     ambient, steps, claimed, notes = cert.ambient, cert.steps, cert.claimed, cert.notes
-    if (type(ambient) is not AmbientRecipe or type(claimed) is not Claims
-            or type(steps) is not tuple or type(notes) is not tuple
-            or not set(map(type, notes)) <= {str}):
-        raise _OffSchema
+    if type(ambient) is not AmbientRecipe:
+        raise _off_schema("ambient", ambient, "AmbientRecipe")
+    if type(claimed) is not Claims:
+        raise _off_schema("claimed", claimed, "Claims")
+    if type(steps) is not tuple:
+        raise _off_schema("steps", steps, "a tuple of steps")
+    if type(notes) is not tuple or not set(map(type, notes)) <= {str}:
+        raise _off_schema("notes", notes, "a tuple of str")
     texts = []
     for step in steps:
         cls = type(step)
         if cls not in _STEP_JSON:
-            raise _OffSchema
-        texts.append(_STEP_JSON[cls] % _values_json(step, _FIELDS[cls], "\n    "))
+            raise _off_schema(_step_path(steps, step), step, "a step")
+        texts.append(_STEP_JSON[cls] % _values_json(step, _FIELDS[cls], "\n    ", steps))
     return _CERTIFICATE_JSON % (
-        _AMBIENT_JSON % _values_json(ambient, _FIELDS[AmbientRecipe], "\n  "),
+        _AMBIENT_JSON % _values_json(ambient, _FIELDS[AmbientRecipe], "\n  ", "ambient"),
         _array_json(texts, "\n  "),
-        _CLAIMS_JSON % (*_values_json(claimed, _FIELDS[Claims], "\n  "),
+        _CLAIMS_JSON % (*_values_json(claimed, _FIELDS[Claims], "\n  ", "claimed"),
                         _disc_json(claimed.disc_bundle)),
         _array_json(list(map(_encode_str, notes)), "\n  "),
     )
@@ -525,8 +517,8 @@ class VerificationReport:
         return tuple(c for c in self.checks if not c.ok)
 
 
-# the check name of each Claims field but the disc bundle, in field order
-_CLAIM_CHECKS = tuple(zip(dataclasses.fields(Claims), (
+# the schema entry and check name of each Claims field but the disc bundle
+_CLAIM_CHECKS = tuple(zip(_FIELDS[Claims], (
     "claimed orientability", "claimed euler characteristic", "claimed normal euler number",
     "claimed homology class", "claimed count I", "claimed signed count I+",
     "claimed signed count I-", "claimed Stein neighborhood basis possibility",
@@ -537,15 +529,16 @@ _CLAIM_CHECKS = tuple(zip(dataclasses.fields(Claims), (
 def verify_certificate(cert: Certificate) -> VerificationReport:
     """Rebuild the ambient, replay the steps, and compare every claim with
     the claims the replayed surface supports.  The two predicates, the
-    fields that default to None, are compared only when claimed.  A
+    boolean fields that default to None, are compared only when claimed;
+    None for any other claim says the value is undefined.  A
     claimed disc bundle must match the replayed base and euler number,
     and the replayed surface must admit a Stein neighborhood basis."""
     final, checks = _replay(cert.ambient.build(), cert.steps)
     actual = _claims_for(final)
-    for field, name in _CLAIM_CHECKS:
-        claimed = getattr(cert.claimed, field.name)
-        if claimed is not None or field.default is not None:
-            checks.append(Check(name, claimed, getattr(actual, field.name)))
+    for (key, kind, default), name in _CLAIM_CHECKS:
+        claimed = getattr(cert.claimed, key)
+        if claimed is not None or kind is not bool or default is not None:
+            checks.append(Check(name, claimed, getattr(actual, key)))
     bundle = cert.claimed.disc_bundle
     if bundle is not None:
         checks.append(Check("disc bundle base orientability", bundle.orientable, final.orientable))

@@ -128,7 +128,7 @@ def invariant_report(s: SurfaceClass) -> InvariantReport:
 
 def _shared_ambient(parts: Sequence[SurfaceClass], what: str) -> AmbientSurface:
     ambient = parts[0].ambient
-    if any(p.ambient != ambient for p in parts):
+    if any(p.ambient is not ambient and p.ambient != ambient for p in parts):
         raise ValueError(f"all surfaces of a {what} must share the ambient")
     return ambient
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -541,6 +542,59 @@ def test_exact_queries_do_not_load_the_certificate_engine(name):
     code, _, _, modules = _cli_numpy(*EXACT_COMMANDS[name])
     assert code == 0
     assert "realsurf.constructions" not in modules
+
+
+# runs the CLI as the installed ``realsurf`` script does, which imports
+# realsurf.cli under its own name, then reports as REPORT_MODULES does
+REPORT_SCRIPT_MODULES = (
+    "import sys\n"
+    "from realsurf.cli import main\n"
+    "try:\n"
+    "    code = main()\n"
+    "finally:\n"
+    "    print('LOADED', *sorted(m for m in sys.modules\n"
+    "                            if m == 'numpy' or m.startswith('realsurf.')), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+README = Path(__file__).resolve().parents[1] / "README.md"
+# a command of README's module table -> its arguments
+TABLE_COMMANDS = {
+    **{name.replace("-", " "): argv for name, argv in EXACT_COMMANDS.items()},
+    "verify": ["verify", "-"],
+    "bishop classify": ["bishop", "classify", "--a", "0.3+0.1i", "--b", "1", "--c", "0.25"],
+    "bishop scan": ["bishop", "scan", "--surface", "flat-torus", "--grid", "32"],
+}
+
+
+def _module_table():
+    """README's table as (command, realsurf modules, numpy) rows."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("| command | realsurf modules loaded | numpy |\n|---|---|---|\n")[1]
+    rows = []
+    for line in table.split("\n\n")[0].splitlines():
+        commands, modules, numpy_loaded = line.split("|")[1:-1]
+        modules = {f"realsurf.{m}" for m in re.findall(r"`(\w+)`", modules)}
+        for command in re.findall(r"`([^`]+)`", commands):
+            rows.append((command, modules, numpy_loaded.strip() == "yes"))
+    return rows
+
+
+def test_readme_module_table_names_every_command():
+    assert sorted(command for command, _, _ in _module_table()) == sorted(TABLE_COMMANDS)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("command, modules, numpy_loaded",
+                         [pytest.param(*row, id=row[0]) for row in _module_table()])
+def test_each_command_loads_exactly_its_readme_modules(command, modules, numpy_loaded, fmt):
+    stdin = ""
+    if command == "verify":
+        stdin = _cli_process(*EXACT_COMMANDS["certify"], "--format", "json").stdout
+    proc = _python("-c", REPORT_SCRIPT_MODULES, *TABLE_COMMANDS[command], "--format", fmt,
+                   stdin=stdin)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.splitlines()[-1].split()[1:])
+    assert loaded == modules | {"realsurf.cli"} | ({"numpy"} if numpy_loaded else set())
 
 
 def test_unknown_scan_surface_fails_before_numpy(capsys):

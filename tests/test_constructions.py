@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from realsurf import constructions, lattice
-from realsurf.ambient import by_name, e, k3
+from realsurf.ambient import AmbientSurface, by_name, e, k3
 from realsurf.constructions import (
     AmbientRecipe,
     Certificate,
@@ -24,7 +24,6 @@ from realsurf.constructions import (
     NoRecipe,
     Resolve,
     UseNamedClass,
-    _dumps_indented,
     _finish,
     stein_disc_bundle,
     stein_disc_bundle_nonorientable,
@@ -218,6 +217,15 @@ def test_stein_nonorientable_rejects_unknown_strategy():
 
 
 # --- verifier ------------------------------------------------------------------
+
+
+def test_none_for_a_class_or_signed_count_is_a_checked_claim():
+    cert = stein_disc_bundle(2, 0)
+    for key, name in (("hclass", "claimed homology class"), ("i_plus", "claimed signed count I+"),
+                      ("i_minus", "claimed signed count I-")):
+        claimed = dataclasses.replace(cert.claimed, **{key: None})
+        report = verify_certificate(dataclasses.replace(cert, claimed=claimed))
+        assert [c.name for c in report.failures()] == [name]
 
 
 def test_tampered_certificate_fails_with_named_claim():
@@ -585,48 +593,13 @@ def test_from_json_rejects_deep_nesting():
             Certificate.from_json(text)
 
 
-# --- the indented JSON emitter -------------------------------------------------
-
-_CHARS = ['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "/", "a", " ", "é", "€", "\u2028",
-          "\U0001f600", "\ud800"]
-_FLOATS = [-0.0, 0.0, 5e-324, 1e308, -1e308, float("inf"), float("-inf"), float("nan"), 1.5,
-           -2.25e-10, 1 / 3]
+# --- the JSON text ----------------------------------------------------------------
 
 
-def _random_string(rng):
-    return "".join(rng.choice(_CHARS) for _ in range(rng.randrange(6)))
-
-
-def _random_json(rng, depth):
-    """A value of dicts, lists and tuples nested down to ``depth``, with the
-    leaves json spells specially; a few dict keys are not strings."""
-    kind = rng.randrange(6 if depth else 3)
-    if kind == 0:
-        return rng.choice([rng.randint(-10**30, 10**30), rng.randint(-3, 3), True, False, None])
-    if kind == 1:
-        return rng.choice(_FLOATS) if rng.random() < 0.7 else rng.uniform(-1e6, 1e6)
-    if kind == 2:
-        return _random_string(rng)
-    size = rng.choice([0, 1, 2, 5])
-    if kind == 3:
-        keys = [rng.choice([7, -2.5, True, None]) if rng.random() < 0.1 else _random_string(rng)
-                for _ in range(size)]
-        return {key: _random_json(rng, depth - 1) for key in keys}
-    items = [_random_json(rng, depth - 1) for _ in range(size)]
-    return items if kind == 4 else tuple(items)
-
-
-def test_dumps_indented_matches_json_dumps():
-    rng = random.Random(20261018)
-    for _ in range(2000):
-        value = _random_json(rng, 4)
-        assert _dumps_indented(value) == json.dumps(value, indent=2)
+def test_engine_certificates_to_json_matches_json_dumps():
     for make in ENGINE_CERTIFICATES.values():
         cert = make()
         assert cert.to_json() == json.dumps(cert.to_dict(), indent=2)
-    for bad in ({1, 2}, {(1,): 2}):
-        with pytest.raises(TypeError):
-            _dumps_indented(bad)
 
 
 # the bytes of to_json as json.dumps(to_dict(), indent=2) wrote them
@@ -764,6 +737,7 @@ def test_to_json_is_byte_identical_over_an_engine_sweep():
         text = cert.to_json()
         assert text == json.dumps(cert.to_dict(), indent=2)
         assert Certificate.from_json(text) == cert
+        assert Certificate.from_dict(cert.to_dict()) == cert
         digest.update(text.encode() + b"\0")
         count += 1
     assert count == 41 + 21 + 42 + 42 + 31 * 4 + 14 * 4 * 2
@@ -818,28 +792,53 @@ def _off_schema_certificates():
     }
 
 
-def _outcome(write):
-    try:
-        return write()
-    except Exception as exc:
-        return f"{type(exc).__name__}: {exc}"
+# the path each off-schema case's TypeError starts with, spelled as the
+# reader spells it; stein_disc_bundle(2, 0) has the steps s, f, f, resolve
+OFF_SCHEMA_PATHS = {
+    "numpy-int64-in-hclass": "claimed.hclass",
+    "numpy-int64-hclass": "claimed.hclass",
+    "int-subclass-in-hclass": "claimed.hclass",
+    "int-subclass-euler-char": "claimed.euler_char",
+    "int-subclass-blow-ups": "ambient.blow_ups",
+    "bool-for-int": "step[0].chi",
+    "str-subclass-name": "step[0].name",
+    "list-parts": "step[3].parts",
+    "list-hclass": "claimed.hclass",
+    "none-required": "claimed.euler_char",
+    "float-field": "claimed.normal_euler",
+    "disc-genus-none": "claimed.disc_bundle",
+    "disc-orientable-int": "claimed.disc_bundle",
+    "disc-dict": "claimed.disc_bundle",
+    "unknown-step": "step[4]",
+    "notes-list": "notes",
+    "notes-str-subclass": "notes",
+}
+
+# the SHA-256 of each in-schema case's to_json text, pinned from the
+# writer the schema templates replaced
+IN_SCHEMA_SHA256 = {
+    "notes-escaped": "b36824a165673e2135a3cc211f33cde3344b36ba8e2c51571bd4393be8494961",
+    "empty-arrays": "59a9da80e753c73a04e461c0b3662922aa633af24e93ecd646783984d0092964",
+    "no-steps": "9630adb1b243e52884a833a5bca62398d2c30b56f809f82e942cf8a061377406",
+}
 
 
-# the SHA-256 of the _off_schema_certificates outcomes, in order, each
-# followed by a NUL: the to_json text, or the exception's type and message,
-# as the generic emitter gave them
-OFF_SCHEMA_SHA256 = "c06a8d9d8b7945e6f69a9c2d8e289f54d3e7aa2024432d306f033950faf6e494"
+def test_to_json_outside_the_schema_raises_naming_the_field():
+    certs = _off_schema_certificates()
+    assert set(certs) == set(OFF_SCHEMA_PATHS) | set(IN_SCHEMA_SHA256)
+    for name, path in OFF_SCHEMA_PATHS.items():
+        for write in (certs[name].to_json, certs[name].to_dict):
+            with pytest.raises(TypeError) as info:
+                write()
+            assert str(info.value).startswith(f"{path} must be "), (name, str(info.value))
 
 
-def test_to_json_outside_the_schema_keeps_the_generic_bytes_and_errors():
-    digest = hashlib.sha256()
-    for name, cert in _off_schema_certificates().items():
-        got = _outcome(cert.to_json)
-        assert got == _outcome(lambda: json.dumps(cert.to_dict(), indent=2)), name
-        digest.update(got.encode("utf-8", "surrogatepass") + b"\0")
-    assert digest.hexdigest() == OFF_SCHEMA_SHA256
-    with pytest.raises(TypeError, match="int64 is not JSON serializable"):
-        _off_schema_certificates()["numpy-int64-in-hclass"].to_json()
+def test_to_json_inside_the_schema_keeps_its_bytes():
+    certs = _off_schema_certificates()
+    for name, digest in IN_SCHEMA_SHA256.items():
+        text = certs[name].to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
+        assert Certificate.from_json(text) == certs[name], name
 
 
 def _records(data):
@@ -1079,6 +1078,21 @@ def test_named_surface_memo_holds_one_catalog_surface_per_class():
     assert sorted(memo) == ["f", "s"]
     assert (memo["f"].euler_char, memo["s"].euler_char) == (0, 2)
     assert memo["f"].ambient is ambient and memo["s"].ambient is ambient
+
+
+def test_replay_takes_a_shared_ambient_by_identity(monkeypatch):
+    compared = []
+    eq = AmbientSurface.__eq__
+
+    def counted(self, other):
+        compared.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(AmbientSurface, "__eq__", counted)
+    cert = stein_disc_bundle(12, 20)
+    assert verify_certificate(cert).passed
+    # every part of each union holds the one ambient of the replay
+    assert compared == []
 
 
 def test_each_ambient_has_its_own_named_surface_memo():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -191,6 +192,20 @@ def test_connected_sum_requires_same_ambient():
             SurfaceClass(k3(), False, 0, None, 0),
             SurfaceClass(e(1), False, 0, None, 0),
         )
+
+
+def test_connected_sum_accepts_an_equal_copy_of_the_ambient():
+    amb = k3()
+    copy = dataclasses.replace(amb)
+    assert copy is not amb and copy == amb
+    out = connected_sum(SurfaceClass(amb, True, 0, amb.named_class("f")),
+                        SurfaceClass(copy, True, 0, copy.named_class("f")))
+    assert out.hclass == 2 * amb.named_class("f")
+    # E(2) is K3 under another label
+    other = e(2)
+    with pytest.raises(ValueError, match="all surfaces of a connected sum must share the ambient"):
+        connected_sum(SurfaceClass(amb, True, 0, amb.named_class("f")),
+                      SurfaceClass(other, True, 0, other.named_class("f")))
 
 
 def test_connected_sum_rejects_linked_classes():
